@@ -134,6 +134,21 @@ func BenchmarkWorkloadGenerator(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadWarm is the fast-forward rung beside
+// BenchmarkWorkloadGenerator: one op is one instruction drained through
+// Warm, in the 4096-instruction chunks the simulator's prewarm uses.
+func BenchmarkWorkloadWarm(b *testing.B) {
+	const chunk = 4096
+	g := workload.MustNew("gcc", 1)
+	addrs := make([]uint64, chunk)
+	branches := make([]uint64, chunk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= chunk {
+		g.Warm(min(left, chunk), addrs, branches)
+	}
+}
+
 func BenchmarkCacheArrayLookup(b *testing.B) {
 	// The working set exactly fills the array (1024 lines into a
 	// 32K/32B/2-way = 1024-line cache, two lines per set), and a

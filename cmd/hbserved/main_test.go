@@ -75,8 +75,11 @@ func TestServerLifecycle(t *testing.T) {
 		t.Fatalf("submit = %d, want 202", sub.StatusCode)
 	}
 
-	// Poll until the simulation finishes and check the result is real.
-	var result sim.Result
+	// Poll until the simulation finishes. The served result must be
+	// byte-identical to a direct run of the same config, and cover the
+	// measure window: the core retires in groups, so it may overshoot
+	// by up to RetireWidth-1 instructions.
+	var served []byte
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		r, err := http.Get(base + "/v1/jobs/" + submitted.Job.ID + "/result")
@@ -84,10 +87,11 @@ func TestServerLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(r.Body).Decode(&result); err != nil {
+			served, err = io.ReadAll(r.Body)
+			r.Body.Close()
+			if err != nil {
 				t.Fatal(err)
 			}
-			r.Body.Close()
 			break
 		}
 		r.Body.Close()
@@ -96,8 +100,23 @@ func TestServerLifecycle(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if result.Benchmark != "gcc" || result.Cycles == 0 || result.Instructions != 20000 {
-		t.Fatalf("result = %+v, want a real gcc run over 20000 instructions", result)
+	direct, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, served); err != nil {
+		t.Fatalf("served result is not JSON: %v\n%s", err, served)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("served result differs from a direct sim.Run:\nserved: %s\ndirect: %s", got.Bytes(), want)
+	}
+	if n, w := direct.Instructions, uint64(cfg.CPU.RetireWidth); direct.Benchmark != "gcc" || direct.Cycles == 0 || n < cfg.MeasureInsts || n >= cfg.MeasureInsts+w {
+		t.Fatalf("result = %+v, want a real gcc run over [%d, %d) instructions", direct, cfg.MeasureInsts, cfg.MeasureInsts+w)
 	}
 
 	// SIGTERM → graceful drain → clean exit.

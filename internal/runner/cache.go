@@ -30,7 +30,10 @@ import (
 // dropped, so the same recording cached from any path or worker hits,
 // and two different recordings can never alias however they are
 // addressed on disk.
-const keyVersion = "hbcache-job-v4"
+// v5: the workload generator draws dependence distances from their own
+// counter-keyed stream and enters kernel mode by its instruction share,
+// re-rolling every synthetic instruction stream.
+const keyVersion = "hbcache-job-v5"
 
 // keyEnvelope is what gets hashed: the version string plus the
 // canonicalized config. sim.Config and everything it embeds are plain

@@ -1,6 +1,9 @@
 package runner
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,6 +107,34 @@ func TestKeyFieldSensitivity(t *testing.T) {
 			t.Errorf("variant %q collides with %q", name, prev)
 		}
 		seen[k] = name
+	}
+}
+
+// TestKeyPreviousVersionMisses pins the latest keyVersion bump: a
+// result stored under a config's v4 key was simulated on the previous
+// instruction stream and must never be served for the same config now.
+func TestKeyPreviousVersionMisses(t *testing.T) {
+	cfg := baseConfig()
+	b, err := json.Marshal(keyEnvelope{Version: "hbcache-job-v4", Config: Canonical(cfg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	oldKey := hex.EncodeToString(sum[:])
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(oldKey, cfg, sim.Result{Benchmark: "gcc", Cycles: 1234, Instructions: 1000, IPC: 0.81}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(oldKey); !ok {
+		t.Fatal("the v4 entry is not readable under its own key")
+	}
+	if key := mustKey(t, cfg); key == oldKey {
+		t.Fatal("current key equals the v4 key")
+	} else if _, ok := c.Get(key); ok {
+		t.Error("a v4-keyed entry was served for the current key")
 	}
 }
 

@@ -33,9 +33,13 @@ import (
 )
 
 // Format is the envelope layout version. Bump it when the envelope
-// itself (not a payload) changes incompatibly; older files then fail
-// with ErrVersion instead of being misparsed.
-const Format = 1
+// itself (not a payload) changes incompatibly, or when the instruction
+// streams that recorded machine state indexes into change; older files
+// then fail with ErrVersion instead of being misparsed or resumed into
+// a different stream.
+// 2: the workload generator's dependence distances and kernel entry
+// changed, re-rolling every synthetic stream.
+const Format = 2
 
 // Sentinel errors returned by Decode/Load; all of them quarantine the
 // file in Load. Use errors.Is: they arrive wrapped with detail.

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,9 +59,42 @@ func TestDecodeRejectsWrongKindAndVersion(t *testing.T) {
 		t.Fatalf("wrong kind accepted: err=%v", err)
 	}
 	// A future format version must fail closed, not misparse.
-	future := strings.Replace(string(b), `"format":1`, `"format":99`, 1)
+	future := strings.Replace(string(b), fmt.Sprintf(`"format":%d`, Format), `"format":99`, 1)
 	if err := Decode([]byte(future), "kind-a", &out); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future format accepted: err=%v", err)
+	}
+}
+
+// TestPreviousFormatRejected pins the latest Format bump: a checkpoint
+// sealed by the previous format, checksum intact, carries state from
+// the previous instruction stream and must fail with ErrVersion, and
+// Load must quarantine it rather than resume from it.
+func TestPreviousFormatRejected(t *testing.T) {
+	raw, err := json.Marshal(payload{Name: "gcc", Count: 800_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := Envelope{Format: Format - 1, Kind: "test-kind", Payload: raw}
+	if e.Sum, err = e.sum(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out payload
+	if err := Decode(old, "test-kind", &out); !errors.Is(err, ErrVersion) {
+		t.Fatalf("previous-format envelope decoded: err=%v", err)
+	}
+	path := filepath.Join(t.TempDir(), "prewarm.json")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(path, "test-kind", &out, nil); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Load of a previous-format file: err=%v, want ErrVersion", err)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("previous-format file not quarantined: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hbcache/internal/isa"
 )
@@ -22,6 +23,9 @@ type tmpl struct {
 	slots  []slot
 }
 
+// noTemplate is the empty body a generator starts in, ending at once.
+var noTemplate tmpl
+
 // templatesPerSpace is how many distinct static loops are synthesized
 // for each of the user and kernel address spaces.
 const templatesPerSpace = 6
@@ -40,13 +44,11 @@ type Generator struct {
 
 	userRegions []*Region
 	kernRegions []*Region
-	userWeight  float64
-	kernWeight  float64
 
 	userT []tmpl
 	kernT []tmpl
 
-	cur       *tmpl
+	cur       *tmpl // noTemplate until the first instruction
 	slotIdx   int
 	itersLeft int
 
@@ -59,16 +61,19 @@ type Generator struct {
 	chaseKern   []int16
 	lastLoadDst int16
 
+	// depKey keys the counter-based dependence-distance stream that
+	// depDistance inverts against depSurv, survivalTable(DepMean).
+	depKey  uint64
+	depSurv [2 * regRingSize]uint64
+
 	// Integer draw thresholds precomputed from the model (see
 	// boolThreshold/geomThreshold): the per-instruction hot path
 	// compares raw 53-bit draws against these instead of doing float
-	// conversions. depOne/iterOne mark degenerate means (<= 1), where
-	// Geometric returns 1 without drawing.
-	depThresh       uint64
-	depOne          bool
+	// conversions. iterOne marks a degenerate trip-count mean (<= 1),
+	// where every loop runs once without drawing.
 	iterThresh      uint64
 	iterOne         bool
-	kernelThresh    uint64
+	kernelFrac      float64
 	dataTakenThresh uint64
 
 	loads, stores, branches, kernel, fpops, mispredictable uint64
@@ -90,6 +95,9 @@ func NewFromModel(m *Model, seed uint64) *Generator {
 	g := &Generator{
 		model:       m,
 		rng:         NewRand(seed ^ hashName(m.Name)),
+		cur:         &noTemplate,
+		depKey:      mix64(seed ^ hashName(m.Name)),
+		depSurv:     survivalTable(m.DepMean),
 		lastLoadDst: isa.NoReg,
 	}
 	for i := range m.Regions {
@@ -109,18 +117,12 @@ func NewFromModel(m *Model, seed uint64) *Generator {
 	for i := range g.chaseKern {
 		g.chaseKern[i] = isa.NoReg
 	}
-	g.depOne = m.DepMean <= 1
-	if !g.depOne {
-		g.depThresh = geomThreshold(m.DepMean)
-	}
 	g.iterOne = m.MeanIterations <= 1
 	if !g.iterOne {
 		g.iterThresh = geomThreshold(m.MeanIterations)
 	}
-	g.kernelThresh = boolThreshold(m.kernelFrac())
+	g.kernelFrac = m.kernelFrac()
 	g.dataTakenThresh = boolThreshold(m.DataBranchTakenProb)
-	g.userWeight = totalWeight(g.userRegions)
-	g.kernWeight = totalWeight(g.kernRegions)
 	for i := 0; i < templatesPerSpace; i++ {
 		g.userT = append(g.userT, g.buildTemplate(i, false))
 		if m.kernelFrac() > 0 {
@@ -268,10 +270,11 @@ func (g *Generator) pickALUOp() isa.Op {
 	}
 }
 
-// nextTemplate selects the next inner loop to run, entering kernel mode
-// with the model's kernel fraction.
+// nextTemplate selects the next inner loop to run, entering kernel
+// mode whenever the kernel share of the instructions so far is below
+// the model's kernel fraction, so the share tracks that target.
 func (g *Generator) nextTemplate() {
-	if len(g.kernT) > 0 && g.rng.Uint64()>>11 < g.kernelThresh {
+	if len(g.kernT) > 0 && float64(g.kernel) < g.kernelFrac*float64(g.n) {
 		g.cur = &g.kernT[g.rng.Intn(len(g.kernT))]
 	} else {
 		g.cur = &g.userT[g.rng.Intn(len(g.userT))]
@@ -286,6 +289,28 @@ func (g *Generator) nextTemplate() {
 	g.itersLeft = iters
 }
 
+// endBody runs when the current body is done: it starts the loop's
+// next iteration, or a new template once the trip count is spent.
+func (g *Generator) endBody() {
+	if g.itersLeft > 1 {
+		g.itersLeft--
+		g.slotIdx = 0
+	} else {
+		g.nextTemplate()
+	}
+}
+
+// countInst counts the instruction just emitted.
+func (g *Generator) countInst() {
+	if g.cur.kernel {
+		g.kernel++
+	}
+	g.n++
+	if g.nRegMod++; g.nRegMod == uint64(isa.NumLogicalRegs-2) {
+		g.nRegMod = 0
+	}
+}
+
 // dstReg allocates the next destination register, rotating through the
 // logical space and recording it in the dependence ring. nRegMod is
 // n % (NumLogicalRegs-2) maintained incrementally, since the modulus is
@@ -296,47 +321,41 @@ func (g *Generator) dstReg() int16 {
 	return d
 }
 
-// srcReg picks a source register a geometric dependence distance back.
-// The geometric draw inlines Rand.Uint64 so the rng state stays in a
-// register across the loop (this is the hottest draw in the stream:
-// roughly DepMean draws per source operand); the draw sequence is
-// exactly Uint64()>>11 > depThresh repeated, as before.
-func (g *Generator) srcReg() int16 {
-	k := uint64(1)
-	if !g.depOne {
-		r := g.rng
-		s := r.s
-		for {
-			s ^= s >> 12
-			s ^= s << 25
-			s ^= s >> 27
-			if s*randMult>>11 <= g.depThresh || k >= 1<<20 {
-				break
-			}
-			k++
-		}
-		r.s = s
-	}
+// srcReg picks the source register for operand (0 or 1), a geometric
+// dependence distance back. The distance is keyed by instruction number,
+// not drawn from the rng, so Warm can skip it and stay aligned with Next.
+func (g *Generator) srcReg(operand uint64) int16 {
+	k := g.depDistance(g.n<<1 | operand)
 	if k > g.n || k > regRingSize {
 		return isa.NoReg
 	}
 	return g.ring[(g.n-k)%regRingSize]
 }
 
+// depDistance returns the dependence distance at counter ctr. Its
+// uniform draw u is output ctr of the SplitMix64 stream keyed by
+// depKey, and the distance is 1 plus the number of depSurv entries
+// above u, so P(distance > k) = q^k up to regRingSize; regRingSize+1
+// stands for every distance past the ring. The count is a branch-free
+// binary search over the decreasing table: the borrow of u - e is 1
+// exactly when u < e.
+func (g *Generator) depDistance(ctr uint64) uint64 {
+	u := mix64(g.depKey + ctr*splitGamma)
+	k := uint64(0)
+	for step := uint64(regRingSize); step > 0; step >>= 1 {
+		// The index stays below 2*regRingSize; the modulo only lets
+		// the compiler drop the bounds check.
+		_, b := bits.Sub64(u, g.depSurv[(k+step-1)%(2*regRingSize)], 0)
+		k += b * step
+	}
+	return k + 1
+}
+
 // Next implements isa.Reader; the stream is unbounded so ok is always
 // true.
 func (g *Generator) Next() (isa.Inst, bool) {
-	if g.cur == nil || g.slotIdx >= len(g.cur.slots) {
-		if g.cur != nil {
-			g.itersLeft--
-			if g.itersLeft > 0 {
-				g.slotIdx = 0
-			} else {
-				g.nextTemplate()
-			}
-		} else {
-			g.nextTemplate()
-		}
+	if g.slotIdx >= len(g.cur.slots) {
+		g.endBody()
 	}
 	s := &g.cur.slots[g.slotIdx]
 	g.slotIdx++
@@ -357,14 +376,12 @@ func (g *Generator) Next() (isa.Inst, bool) {
 			if g.cur.kernel {
 				ptrs = g.chaseKern
 			}
-			if p := ptrs[s.region]; p != isa.NoReg {
-				inst.Src1 = p
-			}
+			inst.Src1 = ptrs[s.region]
 			d := g.dstReg()
 			inst.Dst = d
 			ptrs[s.region] = d
 		} else {
-			inst.Src1 = g.srcReg()
+			inst.Src1 = g.srcReg(0)
 			inst.Dst = g.dstReg()
 		}
 		g.lastLoadDst = inst.Dst
@@ -373,38 +390,30 @@ func (g *Generator) Next() (isa.Inst, bool) {
 		rg := regions[s.region]
 		inst.Addr = rg.next(g.rng)
 		inst.Size = accessGranularity
-		inst.Src1 = g.srcReg() // address register
-		inst.Src2 = g.srcReg() // data register
+		inst.Src1 = g.srcReg(0) // address register
+		inst.Src2 = g.srcReg(1) // data register
 	case isa.Branch:
 		g.branches++
 		if s.loopBack {
 			inst.Taken = g.itersLeft > 1
-			inst.Src1 = g.srcReg()
+			inst.Src1 = g.srcReg(0)
 		} else if s.dataDep {
 			g.mispredictable++
 			inst.Taken = g.rng.Uint64()>>11 < g.dataTakenThresh
 			inst.Src1 = g.lastLoadDst
 		} else {
 			inst.Taken = true // static control, perfectly learnable
-			inst.Src1 = g.srcReg()
+			inst.Src1 = g.srcReg(0)
 		}
-	case isa.Jump:
-		// Not currently synthesized; kept for completeness.
 	default:
 		if s.op.IsFP() {
 			g.fpops++
 		}
-		inst.Src1 = g.srcReg()
-		inst.Src2 = g.srcReg()
+		inst.Src1 = g.srcReg(0)
+		inst.Src2 = g.srcReg(1)
 		inst.Dst = g.dstReg()
 	}
-	if g.cur.kernel {
-		g.kernel++
-	}
-	g.n++
-	if g.nRegMod++; g.nRegMod == uint64(isa.NumLogicalRegs-2) {
-		g.nRegMod = 0
-	}
+	g.countInst()
 	return inst, true
 }
 
@@ -416,21 +425,13 @@ func (g *Generator) Next() (isa.Inst, bool) {
 // happens identically, so interleaving Warm and Next is
 // indistinguishable from calling Next throughout — but it skips
 // assembling the isa.Inst records nobody reads during a functional
-// cache prewarm, and batching keeps the loop free of calls out.
+// cache prewarm, source registers included (see srcReg), and batching
+// keeps the loop free of calls out.
 // TestWarmMatchesNext pins the equivalence.
 func (g *Generator) Warm(n int, addrs, branches []uint64) (na, nb int) {
 	for i := 0; i < n; i++ {
-		if g.cur == nil || g.slotIdx >= len(g.cur.slots) {
-			if g.cur != nil {
-				g.itersLeft--
-				if g.itersLeft > 0 {
-					g.slotIdx = 0
-				} else {
-					g.nextTemplate()
-				}
-			} else {
-				g.nextTemplate()
-			}
+		if g.slotIdx >= len(g.cur.slots) {
+			g.endBody()
 		}
 		s := &g.cur.slots[g.slotIdx]
 		g.slotIdx++
@@ -453,15 +454,12 @@ func (g *Generator) Warm(n int, addrs, branches []uint64) (na, nb int) {
 				ptrs[s.region] = d
 				g.lastLoadDst = d
 			} else {
-				g.srcReg()
 				g.lastLoadDst = g.dstReg()
 			}
 		case isa.Store:
 			g.stores++
 			addrs[na] = regions[s.region].next(g.rng)
 			na++
-			g.srcReg()
-			g.srcReg()
 		case isa.Branch:
 			g.branches++
 			var taken uint64
@@ -469,7 +467,6 @@ func (g *Generator) Warm(n int, addrs, branches []uint64) (na, nb int) {
 				if g.itersLeft > 1 {
 					taken = 1
 				}
-				g.srcReg()
 			} else if s.dataDep {
 				g.mispredictable++
 				if g.rng.Uint64()>>11 < g.dataTakenThresh {
@@ -477,26 +474,16 @@ func (g *Generator) Warm(n int, addrs, branches []uint64) (na, nb int) {
 				}
 			} else {
 				taken = 1
-				g.srcReg()
 			}
 			branches[nb] = s.pc<<1 | taken
 			nb++
-		case isa.Jump:
 		default:
 			if s.op.IsFP() {
 				g.fpops++
 			}
-			g.srcReg()
-			g.srcReg()
 			g.dstReg()
 		}
-		if g.cur.kernel {
-			g.kernel++
-		}
-		g.n++
-		if g.nRegMod++; g.nRegMod == uint64(isa.NumLogicalRegs-2) {
-			g.nRegMod = 0
-		}
+		g.countInst()
 	}
 	return na, nb
 }

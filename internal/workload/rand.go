@@ -39,8 +39,7 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{s: seed}
 }
 
-// randMult is the xorshift64* output multiplier, shared with hot loops
-// that inline the generator to keep its state in a register.
+// randMult is the xorshift64* output multiplier.
 const randMult = 0x2545F4914F6CDD1D
 
 // Uint64 returns the next 64 pseudo-random bits.
@@ -90,24 +89,37 @@ func boolThreshold(p float64) uint64 {
 // geomThreshold converts a geometric mean to the integer threshold t
 // such that Float64() > 1/mean is exactly u>>11 > t: the 53-bit value
 // is above p*2^53 iff it is above floor(p*2^53). Meaningful only for
-// mean > 1 (Geometric returns 1 without drawing otherwise).
+// mean > 1.
 func geomThreshold(mean float64) uint64 {
 	return uint64(math.Floor((1 / mean) * (1 << 53)))
 }
 
-// Geometric returns a sample from a geometric distribution with the
-// given mean (>= 1): the number of Bernoulli trials up to and including
-// the first success with p = 1/mean. The result is always at least 1.
-func (r *Rand) Geometric(mean float64) int {
+// splitGamma is SplitMix64's state increment (2^64 / golden ratio).
+const splitGamma = 0x9E3779B97F4A7C15
+
+// mix64 is the SplitMix64 output finalizer: mix64(key + i*splitGamma)
+// is output i of the SplitMix64 stream seeded with key, computable
+// without stepping through the outputs before it.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// survivalTable returns the geometric(mean) survival function in
+// 64-bit fixed point: entry k-1 is q^k·2^64 = P(distance > k)·2^64 for
+// k = 1..regRingSize, q = 1 - 1/mean < 1, and the rest is zero. A mean
+// <= 1 gives the all-zero table: every distance is 1.
+func survivalTable(mean float64) [2 * regRingSize]uint64 {
+	var t [2 * regRingSize]uint64
 	if mean <= 1 {
-		return 1
+		return t
 	}
-	th := geomThreshold(mean)
-	n := 1
-	for r.Uint64()>>11 > th && n < 1<<20 {
-		n++
+	q := 1 - 1/mean
+	for k := range regRingSize {
+		t[k] = uint64(math.Ldexp(math.Pow(q, float64(k+1)), 64))
 	}
-	return n
+	return t
 }
 
 // Bool returns true with probability p.

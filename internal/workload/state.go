@@ -67,16 +67,14 @@ func (g *Generator) ExportState() GeneratorState {
 		FPOps:          g.fpops,
 		Mispredictable: g.mispredictable,
 	}
-	if g.cur != nil {
-		for i := range g.userT {
-			if g.cur == &g.userT[i] {
-				st.CurIndex, st.CurKernel = i, false
-			}
+	for i := range g.userT {
+		if g.cur == &g.userT[i] {
+			st.CurIndex, st.CurKernel = i, false
 		}
-		for i := range g.kernT {
-			if g.cur == &g.kernT[i] {
-				st.CurIndex, st.CurKernel = i, true
-			}
+	}
+	for i := range g.kernT {
+		if g.cur == &g.kernT[i] {
+			st.CurIndex, st.CurKernel = i, true
 		}
 	}
 	for _, r := range g.userRegions {
@@ -111,6 +109,8 @@ func (g *Generator) ImportState(st GeneratorState) error {
 		!st.CurKernel && st.CurIndex >= len(g.userT),
 		st.CurKernel && st.CurIndex >= len(g.kernT):
 		return fmt.Errorf("workload: snapshot template index %d (kernel=%v) out of range", st.CurIndex, st.CurKernel)
+	case st.CurIndex == -1 && st.ItersLeft > 1:
+		return fmt.Errorf("workload: snapshot has %d loop iterations left but no template", st.ItersLeft)
 	}
 	if st.RNG == 0 {
 		// xorshift's zero fixed point can never legitimately occur.
@@ -119,7 +119,7 @@ func (g *Generator) ImportState(st GeneratorState) error {
 	g.rng.s = st.RNG
 	switch {
 	case st.CurIndex == -1:
-		g.cur = nil
+		g.cur = &noTemplate
 	case st.CurKernel:
 		g.cur = &g.kernT[st.CurIndex]
 	default:

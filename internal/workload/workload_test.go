@@ -43,20 +43,6 @@ func TestRandDistributions(t *testing.T) {
 	if mean := sum / 10000; math.Abs(mean-0.5) > 0.02 {
 		t.Errorf("Float64 mean = %v, want ~0.5", mean)
 	}
-	var gsum float64
-	for i := 0; i < 10000; i++ {
-		g := r.Geometric(8)
-		if g < 1 {
-			t.Fatalf("Geometric < 1: %d", g)
-		}
-		gsum += float64(g)
-	}
-	if mean := gsum / 10000; math.Abs(mean-8) > 0.5 {
-		t.Errorf("Geometric(8) mean = %v, want ~8", mean)
-	}
-	if r.Geometric(0.5) != 1 {
-		t.Error("Geometric(<1) must return 1")
-	}
 	counts := map[int]int{}
 	for i := 0; i < 1000; i++ {
 		counts[r.Intn(3)]++
