@@ -62,13 +62,32 @@ func binary(t *testing.T) string {
 type proc struct {
 	cmd    *exec.Cmd
 	base   string // http://host:port once the listen line appears
-	stderr *bytes.Buffer
+	stderr *syncBuffer
+}
+
+// syncBuffer is a bytes.Buffer safe for os/exec to write while the test
+// reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // startProc launches the binary and waits for its listen line.
 func startProc(t *testing.T, bin string, args ...string) *proc {
 	t.Helper()
-	p := &proc{stderr: &bytes.Buffer{}}
+	p := &proc{stderr: &syncBuffer{}}
 	p.cmd = exec.Command(bin, args...)
 	p.cmd.Stderr = p.stderr
 	stdout, err := p.cmd.StdoutPipe()

@@ -100,7 +100,6 @@ func clusterStatus(coord *cluster.Coordinator, minWorkers int, journalReplays in
 			Dispatched:   h.Dispatched,
 			Completed:    h.Completed,
 			Failed:       h.Failed,
-			Stolen:       h.Stolen,
 			Breaker:      h.Breaker,
 			BreakerOpens: h.BreakerOpens,
 		})

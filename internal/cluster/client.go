@@ -19,8 +19,8 @@ import (
 
 // Client is the coordinator's HTTP client for one worker: a plain
 // hbserved instance whose existing job/queue/SSE protocol is the worker
-// API. It carries no per-worker policy (breakers, stealing, health live
-// in the Coordinator); what it does own is wire discipline:
+// API. It carries no per-worker policy (breakers, reassignment, health
+// live in the Coordinator); what it does own is wire discipline:
 //
 //   - 429 and 503 responses are retried honoring the server's
 //     Retry-After header (the worker's backpressure and circuit-breaker
@@ -195,11 +195,6 @@ func (c *Client) SweepResults(ctx context.Context, id string) (service.SweepResu
 	var res service.SweepResults
 	err := c.doJSON(ctx, http.MethodGet, "/v1/sweeps/"+id+"/results", nil, &res)
 	return res, err
-}
-
-// Healthz probes the worker's liveness endpoint.
-func (c *Client) Healthz(ctx context.Context) error {
-	return c.doJSON(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
 // RegisterWorker announces a worker at url to the coordinator this

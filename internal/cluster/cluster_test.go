@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,52 +104,64 @@ func fastOptions(workers ...string) Options {
 	}
 }
 
-func TestPlan(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want [][]int
-	}{
-		{0, 3, [][]int{nil, nil, nil}},
-		{5, 1, [][]int{{0, 1, 2, 3, 4}}},
-		{5, 2, [][]int{{0, 2, 4}, {1, 3}}},
-		{6, 3, [][]int{{0, 3}, {1, 4}, {2, 5}}},
-		{2, 4, [][]int{{0}, {1}, nil, nil}},
-		{4, 0, [][]int{{0, 1, 2, 3}}}, // k<=0 degrades to one shard
+// newFleetRunner wires coord in as a runner's simulator — exactly how
+// hbserved's coordinator role runs sweeps: the runner's pool, memo, and
+// ordering in front, fleet dispatch behind.
+func newFleetRunner(t *testing.T, coord *Coordinator, workers int) *runner.Runner {
+	t.Helper()
+	r, err := runner.New(runner.Options{Workers: workers, Sim: coord.Run})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		got := Plan(tc.n, tc.k)
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("Plan(%d, %d) = %v, want %v", tc.n, tc.k, got, tc.want)
+	return r
+}
+
+// slowSim is stubSim after a short sleep, so concurrent dispatches
+// overlap on the fleet and least-loaded dispatch spreads them.
+func slowSim(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+	if !sleepCtx(ctx, 5*time.Millisecond) {
+		return sim.Result{}, ctx.Err()
+	}
+	return stubSim(ctx, cfg)
+}
+
+// workerDeduped reads a worker's count of submissions answered by an
+// existing identical job from its /metrics.
+func workerDeduped(t *testing.T, tw *testWorker) int {
+	t.Helper()
+	resp, err := http.Get(tw.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "hbserved_jobs_deduped_total "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
 		}
 	}
-	// Every point appears exactly once, and shard sizes differ by at
-	// most one (balance).
-	got := Plan(17, 5)
-	seen := map[int]int{}
-	for _, shard := range got {
-		for _, p := range shard {
-			seen[p]++
-		}
-		if len(shard) < 17/5 || len(shard) > 17/5+1 {
-			t.Errorf("Plan(17,5) unbalanced shard of %d points", len(shard))
-		}
-	}
-	for p := 0; p < 17; p++ {
-		if seen[p] != 1 {
-			t.Errorf("Plan(17,5) point %d assigned %d times", p, seen[p])
-		}
-	}
+	t.Fatal("worker /metrics has no hbserved_jobs_deduped_total")
+	return 0
 }
 
 // TestClusterDedupExactlyOnce is the cluster-wide dedup pin: a
 // coordinator over two workers sharing one remote store runs two
 // overlapping sweeps, and each unique config is simulated exactly once
-// across the whole fleet — the overlap is served from the shared store,
-// asserted via its hit counters.
+// across the whole fleet. Each sweep gets a fresh coordinator runner, so
+// its memo cannot answer the overlap: every overlap point is dispatched
+// and served from the shared store — or, when it lands on the worker
+// that already ran it, by that worker's own job dedup.
 func TestClusterDedupExactlyOnce(t *testing.T) {
 	srv, storeURL := newSharedStore(t)
-	w1 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), nil)
-	w2 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), nil)
+	w1 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), slowSim)
+	w2 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), slowSim)
 	coord, err := New(fastOptions(w1.ts.URL, w2.ts.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -175,19 +191,19 @@ func TestClusterDedupExactlyOnce(t *testing.T) {
 		}
 	}
 
-	resA, err := coord.RunSweep(ctx, sweepA)
+	resA, err := newFleetRunner(t, coord, 2).Run(ctx, sweepA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("sweepA", resA, sweepA)
 
-	resB, err := coord.RunSweep(ctx, sweepB)
+	resB, err := newFleetRunner(t, coord, 2).Run(ctx, sweepB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("sweepB", resB, sweepB)
 
-	const unique = 9 // 0..8
+	const unique, overlap = 9, 3 // 0..8; A∩B = 3,4,5
 	if total := w1.sims.Load() + w2.sims.Load(); total != unique {
 		t.Errorf("fleet simulated %d times (w1=%d w2=%d), want exactly %d — one per unique config",
 			total, w1.sims.Load(), w2.sims.Load(), unique)
@@ -196,25 +212,27 @@ func TestClusterDedupExactlyOnce(t *testing.T) {
 	if st.Puts != unique {
 		t.Errorf("store received %d puts, want %d", st.Puts, unique)
 	}
-	if st.Hits != 3 {
-		t.Errorf("store served %d hits, want 3 (the A∩B overlap)", st.Hits)
+	if deduped := workerDeduped(t, w1) + workerDeduped(t, w2); int(st.Hits)+deduped != overlap {
+		t.Errorf("overlap served by %d store hits + %d worker dedups, want %d in all", st.Hits, deduped, overlap)
 	}
-	// Both workers actually participated (the plan interleaves).
+	// Both workers actually participated: the runner keeps two points
+	// in flight and each simulation takes 5 ms, so least-loaded
+	// dispatch sends the second point to the idle worker.
 	if w1.sims.Load() == 0 || w2.sims.Load() == 0 {
 		t.Errorf("lopsided fleet: w1=%d w2=%d simulations", w1.sims.Load(), w2.sims.Load())
 	}
 }
 
-// TestRunSweepInBatchDedup pins the coordinator's own dedup: duplicate
-// configs inside one sweep dispatch once and fan back out as memo hits.
-func TestRunSweepInBatchDedup(t *testing.T) {
+// TestFleetSweepMemoDedup: duplicate configs inside one sweep dispatch
+// once and fan back out as the coordinator runner's memo hits.
+func TestFleetSweepMemoDedup(t *testing.T) {
 	w := newTestWorker(t, nil, nil)
 	coord, err := New(fastOptions(w.ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := []sim.Config{testConfig(1), testConfig(2), testConfig(1), testConfig(1)}
-	res, err := coord.RunSweep(context.Background(), cfgs)
+	res, err := newFleetRunner(t, coord, 4).Run(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +255,16 @@ func TestRunSweepInBatchDedup(t *testing.T) {
 	if got := w.sims.Load(); got != 2 {
 		t.Errorf("worker simulated %d times, want 2 unique configs", got)
 	}
+	if n := coord.Health()[0].Dispatched; n != 2 {
+		t.Errorf("coordinator dispatched %d points, want 2 unique configs", n)
+	}
 }
 
 // TestDeadWorkerReassignment: one worker is unreachable from the start;
-// its whole planned shard must reassign to the live peer, the sweep
-// must complete, and the dead worker's breaker must open.
+// every point that tries it must reassign to the live peer, the sweep
+// must complete, and the dead worker's breaker must open. Dispatch is
+// serial, so the dead worker (first in the fleet, tied at zero load) is
+// tried by the first points until its breaker opens.
 func TestDeadWorkerReassignment(t *testing.T) {
 	w := newTestWorker(t, nil, nil)
 	dead := deadWorkerURL(t)
@@ -258,7 +281,7 @@ func TestDeadWorkerReassignment(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = testConfig(i)
 	}
-	res, err := coord.RunSweep(ctx, cfgs)
+	res, err := newFleetRunner(t, coord, 1).Run(ctx, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +294,8 @@ func TestDeadWorkerReassignment(t *testing.T) {
 	if health[0].URL != dead {
 		t.Fatalf("health order: got %s first, want the dead worker", health[0].URL)
 	}
-	if health[0].Failed == 0 {
-		t.Error("dead worker recorded no dispatch failures")
+	if health[0].Failed != 2 {
+		t.Errorf("dead worker recorded %d dispatch failures, want 2 (then its breaker opens)", health[0].Failed)
 	}
 	if health[0].Healthy || health[0].Breaker != "open" {
 		t.Errorf("dead worker health = %+v, want an open breaker", health[0])
@@ -280,13 +303,8 @@ func TestDeadWorkerReassignment(t *testing.T) {
 	if health[1].Completed != 10 {
 		t.Errorf("live worker completed %d points, want all 10", health[1].Completed)
 	}
-	if health[1].Stolen == 0 {
-		t.Error("live worker recorded no steals despite absorbing the dead shard")
-	}
-
-	reach, total := coord.Reachable(ctx)
-	if reach != 1 || total != 2 {
-		t.Errorf("Reachable = %d/%d, want 1/2", reach, total)
+	if st := coord.FleetStats(); st.Live != 1 || st.Total != 2 {
+		t.Errorf("fleet = %+v, want 1 live of 2", st)
 	}
 }
 
@@ -295,17 +313,10 @@ func TestDeadWorkerReassignment(t *testing.T) {
 // drops, poll fails, the point rotates to the survivor) and the sweep
 // still completes with every point accounted for.
 func TestWorkerKilledMidSweep(t *testing.T) {
-	slow := func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-		if !sleepCtx(ctx, 5*time.Millisecond) {
-			return sim.Result{}, ctx.Err()
-		}
-		return stubSim(ctx, cfg)
-	}
-	w1 := newTestWorker(t, nil, slow)
-	w2 := newTestWorker(t, nil, slow)
+	w1 := newTestWorker(t, nil, slowSim)
+	w2 := newTestWorker(t, nil, slowSim)
 	opts := fastOptions(w1.ts.URL, w2.ts.URL)
 	opts.BreakerThreshold = 2
-	opts.PerWorker = 2
 	coord, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +333,7 @@ func TestWorkerKilledMidSweep(t *testing.T) {
 	var sweepErr error
 	go func() {
 		defer close(done)
-		res, sweepErr = coord.RunSweep(ctx, cfgs)
+		res, sweepErr = newFleetRunner(t, coord, 4).Run(ctx, cfgs)
 	}()
 
 	// Let the sweep get going, then kill worker 2's listener: in-flight
@@ -405,15 +416,14 @@ func TestAllWorkersDown(t *testing.T) {
 	if err == nil {
 		t.Fatal("Run with a dead fleet succeeded")
 	}
-	reach, total := coord.Reachable(context.Background())
-	if reach != 0 || total != 1 {
-		t.Errorf("Reachable = %d/%d, want 0/1", reach, total)
+	if st := coord.FleetStats(); st.Live != 0 || st.Total != 1 {
+		t.Errorf("fleet = %+v, want 0 live of 1", st)
 	}
 }
 
-// TestHedgingStealsFromStraggler: the planned worker sits on the point
-// past HedgeAfter; the hedge lands on the fast peer and its result
-// wins, recorded as a steal.
+// TestHedgingStealsFromStraggler: the straggler, first in the fleet,
+// takes the primary dispatch and sits on the point past HedgeAfter; the
+// hedge lands on the idle fast peer and its result wins.
 func TestHedgingStealsFromStraggler(t *testing.T) {
 	release := make(chan struct{})
 	stall := func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
@@ -441,7 +451,7 @@ func TestHedgingStealsFromStraggler(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	res, err := coord.runPoint(ctx, testConfig(7), coord.workers[0]) // planned onto the straggler
+	res, err := coord.Run(ctx, testConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,14 +463,17 @@ func TestHedgingStealsFromStraggler(t *testing.T) {
 		t.Errorf("hedge took %v, should win long before the straggler", elapsed)
 	}
 	health := coord.Health()
-	if health[1].Completed != 1 || health[1].Stolen != 1 {
-		t.Errorf("fast worker health = %+v, want the point completed and counted stolen", health[1])
+	if health[0].Dispatched != 1 || health[0].Completed != 0 {
+		t.Errorf("straggler health = %+v, want the primary dispatch, never completed", health[0])
+	}
+	if health[1].Completed != 1 {
+		t.Errorf("fast worker health = %+v, want the hedged point completed", health[1])
 	}
 }
 
-// TestRunSweepCancellation: cancelling mid-sweep returns promptly with
-// every unfinished point carrying the cancellation error.
-func TestRunSweepCancellation(t *testing.T) {
+// TestFleetSweepCancellation: cancelling mid-sweep returns promptly
+// with every point settled and carrying the cancellation error.
+func TestFleetSweepCancellation(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	stall := func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
@@ -484,13 +497,17 @@ func TestRunSweepCancellation(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = testConfig(i)
 	}
-	res, err := coord.RunSweep(ctx, cfgs)
-	if err == nil {
-		t.Fatal("cancelled sweep returned nil error")
+	r := newFleetRunner(t, coord, 4)
+	res, err := r.Run(ctx, cfgs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
 	for i, jr := range res {
-		if jr.Err == nil && !jr.MemoHit {
-			t.Errorf("point %d has no error after cancellation: %+v", i, jr)
+		if !errors.Is(jr.Err, context.Canceled) {
+			t.Errorf("point %d: err = %v after cancellation, want context.Canceled", i, jr.Err)
 		}
+	}
+	if m := r.Metrics(); m.Done != len(cfgs) || m.Errors != len(cfgs) {
+		t.Errorf("runner metrics = %+v, want all %d points settled as errors", m, len(cfgs))
 	}
 }

@@ -1,30 +1,33 @@
 // Package cluster is the distributed sweep fabric: a coordinator that
-// shards design-space points across a fleet of worker processes over
+// dispatches design-space points to a fleet of worker processes over
 // HTTP. Workers are plain hbserved instances — the existing job/queue/
 // SSE protocol is the worker API — so the fleet is just N copies of the
 // same binary pointed at a shared result store.
 //
 // The paper's evaluation (and everything the ROADMAP grows it into) is
 // embarrassingly parallel: hundreds of independent (benchmark × cache
-// organization) points. The coordinator exploits that three ways:
+// organization) points. The coordinator's hbserved runs every point
+// through its own service queue and runner, with Coordinator.Run as the
+// runner's simulator, so one point is one Run call:
 //
-//   - Sharding: a sweep's points are planned round-robin across workers
-//     (Plan), then dispatched dynamically — a worker that drains its
-//     share steals from the backlog, so one slow box never gates the
-//     sweep (work-stealing reassignment of straggler shards).
+//   - Least-loaded dispatch: each point goes to the worker with the
+//     fewest points in flight whose breaker admits it, so a worker that
+//     finishes early takes the next point and one slow box never gates
+//     the sweep.
+//   - Reassignment: every dispatch goes through a per-worker circuit
+//     breaker and exponential backoff. A transport failure retries the
+//     point on another worker, a dead worker's breaker opens and its
+//     points go to its peers, and it rejoins via a half-open probe when
+//     it recovers.
 //   - Hedging: a point that outlives Options.HedgeAfter is duplicated
 //     on a second worker; the first terminal result wins. Stragglers
 //     cost one duplicate simulation instead of the sweep's tail latency.
-//   - Fault routing: every dispatch goes through a per-worker circuit
-//     breaker and exponential backoff (the PR 4 machinery applied
-//     fleet-wide). A dead worker's points reassign to its peers; the
-//     worker rejoins via a half-open probe when it recovers.
 //
 // The fleet itself is dynamic: Options.Workers seeds it, but workers
 // also self-register over HTTP and keep their membership alive with
 // heartbeat leases (Register/Heartbeat/Deregister). A lease that goes
 // stale marks the worker expired and cancels its in-flight dispatches,
-// so its shards reassign to live peers within one reaper tick; a
+// so its points reassign to live peers within one reaper tick; a
 // SIGTERMed worker deregisters first, so the coordinator stops
 // dispatching to it while it drains. Sweep state survives the
 // coordinator itself dying via the write-ahead journal (see journal.go).
@@ -40,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -61,9 +65,6 @@ type Options struct {
 	Workers []string
 	// HTTP, when non-nil, is the client used for all worker traffic.
 	HTTP *http.Client
-	// PerWorker is how many points RunSweep keeps in flight per worker.
-	// Zero selects 4.
-	PerWorker int
 	// HedgeAfter is how long a dispatched point may run before a
 	// duplicate is hedged onto another worker (first result wins).
 	// Zero selects 30s; negative disables hedging.
@@ -82,11 +83,8 @@ type Options struct {
 	// BreakerCooldown is how long an open worker breaker waits before
 	// admitting a half-open probe. Zero selects 10s.
 	BreakerCooldown time.Duration
-	// ProbeTimeout bounds each health probe in Reachable. Zero
-	// selects 2s.
-	ProbeTimeout time.Duration
 	// LeaseTTL is how long a registered worker's lease lives without a
-	// heartbeat before the reaper expires it and steals its shards.
+	// heartbeat before the reaper expires it and reassigns its points.
 	// Zero selects 15s.
 	LeaseTTL time.Duration
 	// JoinGrace is how long a dispatch will wait on an empty fleet for
@@ -100,15 +98,9 @@ type Options struct {
 	// Faults, when non-nil, arms the cluster.dispatch and
 	// cluster.heartbeat chaos sites.
 	Faults *fault.Registry
-	// OnProgress, when non-nil, is called after every completed
-	// RunSweep point with (done, failed, total). Calls are serialized.
-	OnProgress func(done, failed, total int)
 }
 
 func (o Options) withDefaults() Options {
-	if o.PerWorker <= 0 {
-		o.PerWorker = 4
-	}
 	switch {
 	case o.HedgeAfter == 0:
 		o.HedgeAfter = 30 * time.Second
@@ -132,9 +124,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 10 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 15 * time.Second
@@ -181,7 +170,6 @@ type worker struct {
 	dispatched int64
 	completed  int64
 	failed     int64
-	stolen     int64
 }
 
 func (w *worker) load() int {
@@ -209,12 +197,10 @@ type WorkerHealth struct {
 	Inflight   int   `json:"inflight"`
 	// Dispatched counts points handed to this worker; Completed those
 	// that returned results; Failed dispatch-level failures (transport,
-	// protocol — not job-level simulation errors); Stolen points this
-	// worker executed for a shard planned onto a peer.
+	// protocol — not job-level simulation errors).
 	Dispatched   int64  `json:"dispatched"`
 	Completed    int64  `json:"completed"`
 	Failed       int64  `json:"failed"`
-	Stolen       int64  `json:"stolen"`
 	Breaker      string `json:"breaker"`
 	BreakerOpens int64  `json:"breaker_opens"`
 }
@@ -232,7 +218,7 @@ type Stats struct {
 	LeaseExpiries int64
 }
 
-// Coordinator shards simulation points across a worker fleet.
+// Coordinator dispatches simulation points to a worker fleet.
 type Coordinator struct {
 	opts   Options
 	faults *fault.Registry
@@ -247,12 +233,6 @@ type Coordinator struct {
 	reaperOnce    sync.Once
 	closeOnce     sync.Once
 	reaperStop    chan struct{}
-
-	// progressMu serializes OnProgress and the counters behind it.
-	progressMu sync.Mutex
-	done       int
-	failed     int
-	total      int
 }
 
 // New builds a Coordinator. The seed fleet may be empty: workers can
@@ -406,18 +386,6 @@ func (c *Coordinator) snapshotFleet() []*worker {
 	return out
 }
 
-// WorkerURLs reports the fleet's base URLs in join order, including
-// draining and expired members.
-func (c *Coordinator) WorkerURLs() []string {
-	c.fleetMu.RLock()
-	defer c.fleetMu.RUnlock()
-	out := make([]string, len(c.workers))
-	for i, w := range c.workers {
-		out[i] = w.client.URL()
-	}
-	return out
-}
-
 // Health reports every worker's current state without touching the
 // network: healthy means membership and breaker both admit dispatches.
 func (c *Coordinator) Health() []WorkerHealth {
@@ -449,7 +417,6 @@ func (c *Coordinator) Health() []WorkerHealth {
 			Dispatched:   w.dispatched,
 			Completed:    w.completed,
 			Failed:       w.failed,
-			Stolen:       w.stolen,
 			Breaker:      state.String(),
 			BreakerOpens: opens,
 		}
@@ -478,139 +445,57 @@ func (c *Coordinator) FleetStats() Stats {
 	return st
 }
 
-// Reachable actively probes every worker's liveness endpoint in
-// parallel (bounded by Options.ProbeTimeout each) and reports how many
-// answered, alongside the fleet size. Lease-based readiness replaced it
-// on /readyz, but it remains the active-probe utility.
-func (c *Coordinator) Reachable(ctx context.Context) (reachable, total int) {
-	c.fleetMu.RLock()
-	fleet := append([]*worker(nil), c.workers...)
-	c.fleetMu.RUnlock()
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	for _, w := range fleet {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
-			defer cancel()
-			if w.client.Healthz(pctx) == nil {
-				mu.Lock()
-				reachable++
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return reachable, len(fleet)
-}
-
-// Plan is the shard planner: it assigns n points to k shards
-// round-robin (shard j owns points j, j+k, j+2k, …), so shards stay
-// balanced within one point and in-order dispatch touches every worker
-// from the first k points instead of queueing the whole prefix on
-// worker 0. The assignment is a preference, not a contract — dynamic
-// stealing and failure reassignment override it at dispatch time.
-func Plan(n, k int) [][]int {
-	if k <= 0 {
-		k = 1
-	}
-	shards := make([][]int, k)
-	for i := 0; i < n; i++ {
-		shards[i%k] = append(shards[i%k], i)
-	}
-	return shards
-}
-
-// pick selects the worker for one dispatch attempt: the planned owner
-// if its breaker admits it and it is not overloaded relative to the
-// least-loaded peer (slack of 2 in-flight points), otherwise the
-// least-loaded admissible worker — that switch is the steal. avoid
-// names a worker that just failed this point; it is skipped unless it
-// is the only admissible one. Returns nil when no worker is
-// dispatchable.
-func (c *Coordinator) pick(preferred, avoid *worker) *worker {
-	fleet := c.snapshotFleet()
+// pick selects the worker for one dispatch attempt: the least-loaded
+// admissible worker, so a fast worker that drains its points takes the
+// next ones and one slow box never gates a sweep. avoid names a worker
+// that just failed this point; it is skipped unless it is the only
+// admissible one. Returns nil when no worker is dispatchable.
+func (c *Coordinator) pick(avoid *worker) *worker {
 	type cand struct {
 		w    *worker
 		load int
 	}
-	cands := make([]cand, 0, len(fleet))
-	minLoad := -1
-	preferredLive := false
-	for _, w := range fleet {
-		l := w.load()
-		cands = append(cands, cand{w, l})
-		if minLoad < 0 || l < minLoad {
-			minLoad = l
-		}
-		if w == preferred {
-			preferredLive = true
+	fleet := c.snapshotFleet()
+	cands := make([]cand, len(fleet))
+	for i, w := range fleet {
+		cands[i] = cand{w, w.load()}
+		if w == avoid {
+			cands[i].load = math.MaxInt // tried last
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].load < cands[j].load })
-
-	// Build the preference order: planned owner first (when lightly
-	// loaded), then by load; the failed worker goes last.
-	order := make([]*worker, 0, len(cands)+1)
-	if preferredLive && preferred != avoid && preferred.load() <= minLoad+2 {
-		order = append(order, preferred)
-	}
-	var avoided *worker
-	for _, cd := range cands {
-		if len(order) > 0 && cd.w == order[0] {
-			continue
-		}
-		if cd.w == avoid {
-			avoided = cd.w
-			continue
-		}
-		order = append(order, cd.w)
-	}
-	if avoided != nil {
-		order = append(order, avoided)
-	}
 	// allow() is side-effectful (a half-open breaker admits exactly one
 	// probe), so it is asked only about the worker actually chosen.
-	for _, w := range order {
-		if w.br.allow() {
-			return w
+	for _, cd := range cands {
+		if cd.w.br.allow() {
+			return cd.w
 		}
 	}
 	return nil
-}
-
-// Run executes one config on the fleet and returns its result — the
-// signature of runner.Options.Sim, which is exactly how the
-// coordinator's hbserved wires it in: the service's queue, dedup,
-// breaker, and SSE machinery all stay, only "simulate" now means
-// "dispatch to a worker". Includes cross-worker reassignment on
-// failure and hedging for stragglers.
-func (c *Coordinator) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-	return c.runPoint(ctx, cfg, nil)
 }
 
 // outcome is one dispatch attempt chain's final word on a point.
 type outcome struct {
 	res sim.Result
 	err error
-	w   *worker // worker that produced res, nil if none
 }
 
-// runPoint drives one point to completion: a primary attempt chain,
-// plus one hedged duplicate if the primary outlives HedgeAfter. The
-// first success wins and cancels the other chain.
-func (c *Coordinator) runPoint(ctx context.Context, cfg sim.Config, preferred *worker) (sim.Result, error) {
+// Run executes one config on the fleet and returns its result — the
+// signature of runner.Options.Sim, which is exactly how the
+// coordinator's hbserved wires it in: the service's queue, dedup,
+// breaker, and SSE machinery and the runner's memo and shared store all
+// stay, only "simulate" now means "dispatch to a worker". It drives a
+// primary attempt chain, plus one hedged duplicate if the primary
+// outlives HedgeAfter; the first success wins and cancels the other.
+func (c *Coordinator) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan outcome, 2)
-	launch := func(avoid *worker) {
-		res, w, err := c.attemptChain(cctx, cfg, preferred, avoid)
-		ch <- outcome{res: res, err: err, w: w}
+	launch := func() {
+		res, err := c.attemptChain(cctx, cfg)
+		ch <- outcome{res: res, err: err}
 	}
-	go launch(nil)
+	go launch()
 	inflight := 1
 
 	var hedgeC <-chan time.Time
@@ -626,11 +511,6 @@ func (c *Coordinator) runPoint(ctx context.Context, cfg sim.Config, preferred *w
 		case o := <-ch:
 			if o.err == nil {
 				cancel()
-				if preferred != nil && o.w != nil && o.w != preferred {
-					o.w.mu.Lock()
-					o.w.stolen++
-					o.w.mu.Unlock()
-				}
 				// Drain the losing chain (bounded: channel holds 2) so
 				// nothing blocks on send after we return.
 				return o.res, nil
@@ -645,10 +525,10 @@ func (c *Coordinator) runPoint(ctx context.Context, cfg sim.Config, preferred *w
 		case <-hedgeC:
 			hedgeC = nil
 			inflight++
-			// The straggling primary is somewhere; the hedge avoids the
-			// planned owner so it lands on a different worker whenever
-			// the fleet has one.
-			go launch(preferred)
+			// The straggling primary holds a dispatch slot, so the
+			// least-loaded pick lands the hedge on a different worker
+			// whenever the fleet has an idle one.
+			go launch()
 		}
 	}
 }
@@ -672,8 +552,11 @@ func (c *Coordinator) retryLimit() int {
 // and surfaces immediately. An empty fleet waits out JoinGrace for the
 // first registration instead of burning attempts — a sweep submitted
 // before any worker exists completes once one joins.
-func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, preferred, avoid *worker) (sim.Result, *worker, error) {
-	var lastErr error
+func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+	var (
+		lastErr error
+		avoid   *worker
+	)
 	start := time.Now()
 	for attempt := 0; attempt < c.retryLimit(); attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -682,7 +565,7 @@ func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, preferre
 			}
 			break
 		}
-		w := c.pick(preferred, avoid)
+		w := c.pick(avoid)
 		if w == nil {
 			lastErr = ErrNoWorkers
 			if len(c.snapshotFleet()) == 0 && time.Since(start) < c.opts.JoinGrace {
@@ -701,20 +584,20 @@ func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, preferre
 		}
 		res, err := c.runOn(ctx, w, cfg)
 		if err == nil {
-			return res, w, nil
+			return res, nil
 		}
 		lastErr = err
 		if JobFailed(err) || ctx.Err() != nil {
-			return sim.Result{}, w, err
+			return sim.Result{}, err
 		}
-		// This worker failed the point at the transport level: stop
-		// preferring the plan, try a different worker next.
-		preferred, avoid = nil, w
+		// This worker failed the point at the transport level: try a
+		// different worker next.
+		avoid = w
 		if !c.sleepBackoff(ctx, attempt) {
 			break
 		}
 	}
-	return sim.Result{}, nil, fmt.Errorf("cluster: dispatch exhausted after retries: %w", lastErr)
+	return sim.Result{}, fmt.Errorf("cluster: dispatch exhausted after retries: %w", lastErr)
 }
 
 // sleepBackoff waits out the exponential-backoff delay before the next
@@ -764,7 +647,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, cfg sim.Config) (sim
 	}()
 
 	// Bind the dispatch to the worker's membership: lease expiry cancels
-	// every in-flight point on it (shard stealing), without touching the
+	// every in-flight point on it (reassignment), without touching the
 	// caller's ctx.
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -802,101 +685,4 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, cfg sim.Config) (sim
 	w.completed++
 	w.mu.Unlock()
 	return *view.Result, nil
-}
-
-// RunSweep executes a batch across the fleet and returns one JobResult
-// per config in submission order, mirroring runner.Run's contract:
-// per-point failures land in the corresponding JobResult.Err, and the
-// returned error is non-nil only on cancellation. Points that share a
-// canonical key are dispatched once and fanned back out as memo hits,
-// so a sweep with overlap costs the fleet one simulation per unique
-// config even before the shared store weighs in.
-func (c *Coordinator) RunSweep(ctx context.Context, cfgs []sim.Config) ([]runner.JobResult, error) {
-	n := len(cfgs)
-	results := make([]runner.JobResult, n)
-
-	// In-batch dedup on the canonical key.
-	firstOf := map[string]int{}
-	dupOf := make([]int, n) // dupOf[i] = index of the point i duplicates, or -1
-	var uniq []int
-	for i := range cfgs {
-		dupOf[i] = -1
-		key, err := runner.Key(cfgs[i])
-		if err != nil {
-			results[i] = runner.JobResult{Config: cfgs[i], Err: fmt.Errorf("cluster: keying config %d: %w", i, err)}
-			continue
-		}
-		if j, ok := firstOf[key]; ok {
-			dupOf[i] = j
-			continue
-		}
-		firstOf[key] = i
-		uniq = append(uniq, i)
-	}
-
-	c.progressMu.Lock()
-	c.total += len(uniq)
-	c.progressMu.Unlock()
-
-	fleet := c.snapshotFleet()
-	plan := Plan(len(uniq), len(fleet))
-	owner := make(map[int]*worker, len(uniq)) // point index -> planned worker
-	for shard, points := range plan {
-		for _, u := range points {
-			if shard < len(fleet) {
-				owner[uniq[u]] = fleet[shard]
-			}
-		}
-	}
-
-	conc := c.opts.PerWorker * max(1, len(fleet))
-	perr := runner.Parallel(ctx, conc, len(uniq), func(u int) error {
-		i := uniq[u]
-		started := time.Now()
-		res, err := c.runPoint(ctx, cfgs[i], owner[i])
-		results[i] = runner.JobResult{
-			Config:   cfgs[i],
-			Result:   res,
-			Err:      err,
-			Wall:     time.Since(started),
-			Attempts: 1,
-		}
-		c.progress(err != nil)
-		return nil // per-point errors live in results; never abort peers
-	})
-
-	for i := range results {
-		if j := dupOf[i]; j >= 0 {
-			results[i] = results[j]
-			results[i].Config = cfgs[i]
-			results[i].MemoHit = true
-		}
-	}
-	if perr != nil {
-		// Points the dispatcher never reached are still zero values;
-		// account for every slot like runner.Run does.
-		for i := range results {
-			if results[i].Attempts == 0 && results[i].Err == nil && !results[i].MemoHit {
-				results[i].Config = cfgs[i]
-				results[i].Err = perr
-			}
-		}
-		return results, perr
-	}
-	return results, nil
-}
-
-// progress folds one finished point into the counters and fires the
-// progress callback, serialized.
-func (c *Coordinator) progress(failed bool) {
-	c.progressMu.Lock()
-	defer c.progressMu.Unlock()
-	if failed {
-		c.failed++
-	} else {
-		c.done++
-	}
-	if c.opts.OnProgress != nil {
-		c.opts.OnProgress(c.done, c.failed, c.total)
-	}
 }

@@ -3,7 +3,9 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"sync"
 	"testing"
 
 	"hbcache/internal/cpu"
@@ -232,5 +234,79 @@ func TestBatchedCancellation(t *testing.T) {
 	}
 	if m := r.Metrics(); m.Done != len(cfgs) {
 		t.Errorf("Done = %d, want %d (every slot settled)", m.Done, len(cfgs))
+	}
+}
+
+// TestOnTerminalOncePerOwnedJob pins the journal hook on both batch
+// sizes: exactly one OnTerminal per owned job that reaches a terminal
+// state — store hit, simulation, or final failure — and none for memo
+// duplicates or for jobs cancelled before dispatch.
+func TestOnTerminalOncePerOwnedJob(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			hit, ok, bad, last := realConfig(0), realConfig(1), realConfig(2), realConfig(3)
+			bad.Memory.L1.Bytes = 3000 // not a power of two: fails on every attempt
+			late := realConfigs(7)[4:]
+			// One worker; the first four owned jobs fill the first batch
+			// of four (or the first four batches of one), and the hook
+			// cancels the run when the last of them settles, so every
+			// late job is cancelled before dispatch.
+			cfgs := append([]sim.Config{hit, ok, ok, bad, last}, late...)
+			key := func(cfg sim.Config) string {
+				k, err := Key(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return k
+			}
+			store := NewMemStore()
+			if err := store.Put(key(hit), hit, sim.Result{Benchmark: hit.Benchmark, Cycles: 1}); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var mu sync.Mutex
+			calls := map[string]int{}
+			failed := map[string]bool{}
+			r, err := New(Options{Workers: 1, BatchSize: batch, Store: store, OnTerminal: func(k string, _ sim.Config, err error) {
+				mu.Lock()
+				calls[k]++
+				failed[k] = err != nil
+				mu.Unlock()
+				if k == key(last) {
+					cancel()
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jrs, runErr := r.Run(ctx, cfgs)
+			if !errors.Is(runErr, context.Canceled) {
+				t.Fatalf("Run error = %v, want context.Canceled", runErr)
+			}
+			if !jrs[0].CacheHit || !jrs[2].MemoHit || jrs[2].Err != nil || jrs[3].Err == nil {
+				t.Fatalf("fixture drifted: hit=%+v dup=%+v bad=%+v", jrs[0], jrs[2], jrs[3])
+			}
+			for i, cfg := range []sim.Config{hit, ok, bad, last} {
+				k := key(cfg)
+				if calls[k] != 1 {
+					t.Errorf("owned job %d: OnTerminal fired %d times, want 1", i, calls[k])
+				}
+				if failed[k] != (cfg == bad) {
+					t.Errorf("owned job %d: OnTerminal failed=%v, want %v", i, failed[k], cfg == bad)
+				}
+			}
+			for i, cfg := range late {
+				if n := calls[key(cfg)]; n != 0 {
+					t.Errorf("job cancelled before dispatch %d: OnTerminal fired %d times, want 0", i, n)
+				}
+				if !errors.Is(jrs[5+i].Err, context.Canceled) {
+					t.Errorf("late job %d: err = %v, want context.Canceled", i, jrs[5+i].Err)
+				}
+			}
+			if len(calls) != 4 {
+				t.Errorf("OnTerminal saw %d keys, want the 4 owned jobs that ran", len(calls))
+			}
+		})
 	}
 }

@@ -68,15 +68,16 @@ type Options struct {
 	// sim.ErrCheckFailed, which is fatal (deterministic), not retried.
 	SimCheck bool
 	// BatchSize, when greater than one, makes each worker execute up to
-	// BatchSize cache-missing jobs as one lockstep sim.RunBatch instead
-	// of one simulation at a time, sharing stream generation and the
-	// functional prewarm between compatible lanes. Results stay
-	// bit-identical to the per-run path and are still content-keyed,
-	// memoized, cached, and returned in submission order; a retryable
-	// lane failure falls back to per-run retries. Ignored when Sim
-	// replaces the simulator or SnapshotDir is set — snapshot prewarm
-	// sharing and lockstep batching are mutually exclusive, and the
-	// snapshot path wins so resumable sweeps keep their checkpoints.
+	// BatchSize owned jobs as one batch: the cache misses among them run
+	// as one lockstep sim.RunBatch instead of one simulation at a time,
+	// sharing stream generation and the functional prewarm between
+	// compatible lanes. Results stay bit-identical to single runs and
+	// are still content-keyed, memoized, cached, and returned in
+	// submission order; a retryable lane failure falls back to per-run
+	// retries. Ignored when Sim replaces the simulator or SnapshotDir is
+	// set — snapshot prewarm sharing and lockstep batching are mutually
+	// exclusive, and the snapshot path wins so resumable sweeps keep
+	// their checkpoints.
 	BatchSize int
 	// SnapshotDir, when non-empty, enables checkpoint/restore for the
 	// default simulator: sweep neighbors sharing a prewarm projection
@@ -174,12 +175,12 @@ type Runner struct {
 	onTerminal func(key string, cfg sim.Config, err error)
 	store      Store
 
-	// batch is the lockstep lanes per worker (1 = per-run path) and
-	// runOpts the options handed to sim.RunBatch on the batched path.
+	// batch is the jobs per pool batch (1 unless lockstep batching is
+	// on) and runOpts the options handed to sim.RunBatch.
 	batch   int
 	runOpts sim.RunOpts
 
-	// sim runs one simulation; tests substitute instrumented stubs.
+	// sim runs a lone lane; tests substitute instrumented stubs.
 	sim func(ctx context.Context, cfg sim.Config) (sim.Result, error)
 
 	start time.Time
@@ -312,63 +313,109 @@ func (r *Runner) snapshotLocked() Metrics {
 	return m
 }
 
+// job is one submitted config's scheduling state within a Run: its
+// result slot, content key, the memo entry the call owns or joined, and
+// when its current wait began.
+type job struct {
+	jr    *JobResult
+	key   string
+	entry *memoEntry
+	start time.Time
+}
+
 // Run executes the configs across the worker pool and returns one
 // JobResult per config, in submission order regardless of completion
 // order. Per-job failures are reported in the corresponding
 // JobResult.Err; the returned error is non-nil only when ctx was
 // cancelled, in which case undispatched jobs carry ctx's error.
+//
+// Every job takes the same path: it claims or joins a memo entry in
+// submission order, owned jobs are sliced into batches of up to
+// BatchSize, and the batches run on the Parallel pool, each settling
+// in runBatch. Duplicates then read their owner's published result.
 func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]JobResult, error) {
-	if r.batch > 1 {
-		return r.runBatched(ctx, cfgs)
-	}
 	results := make([]JobResult, len(cfgs))
 	r.mu.Lock()
 	r.metrics.Submitted += len(cfgs)
 	r.mu.Unlock()
 
-	workers := r.workers
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = r.do(ctx, cfgs[i])
-			}
-		}()
-	}
-dispatch:
-	for i := range cfgs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break dispatch
+	var owned, joined []*job
+	for i, cfg := range cfgs {
+		jr := &results[i]
+		jr.Config = cfg
+		if err := ctx.Err(); err != nil {
+			jr.Err = err
+			r.finish(jr)
+			continue
+		}
+		key, err := Key(cfg)
+		if err != nil {
+			jr.Err = fmt.Errorf("runner: keying %s config: %w", cfg.Benchmark, err)
+			r.finish(jr)
+			continue
+		}
+		r.mu.Lock()
+		entry, inFlight := r.memo[key]
+		if !inFlight {
+			entry = &memoEntry{done: make(chan struct{})}
+			r.memo[key] = entry
+		}
+		r.mu.Unlock()
+		j := &job{jr: jr, key: key, entry: entry, start: time.Now()}
+		if inFlight {
+			joined = append(joined, j)
+		} else {
+			owned = append(owned, j)
 		}
 	}
-	close(idx)
-	wg.Wait()
 
-	if err := ctx.Err(); err != nil {
-		// Jobs the dispatcher never handed out are still zero values;
-		// mark them cancelled so callers see every slot accounted for.
-		for i := range results {
-			if results[i].Err == nil && results[i].Attempts == 0 && !results[i].MemoHit && !results[i].CacheHit {
-				results[i].Config = cfgs[i]
-				results[i].Err = err
-				r.finish(&results[i])
-			}
-		}
-		return results, err
+	// Submission order is kept within and across batches, so a sweep's
+	// natural benchmark grouping keeps lockstep lanes shareable.
+	var batches [][]*job
+	for rest := owned; len(rest) > 0; {
+		n := min(r.batch, len(rest))
+		batches = append(batches, rest[:n])
+		rest = rest[n:]
 	}
-	return results, nil
+	_ = Parallel(ctx, r.workers, len(batches), func(b int) error {
+		r.runBatch(ctx, batches[b])
+		return nil // per-job errors live in results; never abort peers
+	})
+
+	// Owned jobs the pool never reached: publish the cancellation so no
+	// duplicate waits forever on an execution that will not happen.
+	for _, j := range owned {
+		select {
+		case <-j.entry.done:
+		default:
+			r.publish(j, sim.Result{}, ctx.Err())
+			j.jr.Wall = time.Since(j.start)
+			r.finish(j.jr)
+		}
+	}
+	// Duplicates: their execution has finished (above, or in another
+	// concurrent call), or ctx is gone. A published result wins over a
+	// cancellation that came after it.
+	for _, j := range joined {
+		select {
+		case <-j.entry.done:
+		case <-ctx.Done():
+		}
+		select {
+		case <-j.entry.done:
+			j.jr.Result, j.jr.Err = j.entry.res, j.entry.err
+			j.jr.MemoHit = true
+		default:
+			j.jr.Err = ctx.Err()
+		}
+		j.jr.Wall = time.Since(j.start)
+		r.finish(j.jr)
+	}
+	return results, ctx.Err()
 }
 
-// RunOne executes a single config synchronously on the calling
-// goroutine, still going through the memo and cache.
+// RunOne executes a single config synchronously, still going through
+// the memo and cache.
 func (r *Runner) RunOne(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 	jr := r.RunJob(ctx, cfg)
 	return jr.Result, jr.Err
@@ -377,113 +424,130 @@ func (r *Runner) RunOne(ctx context.Context, cfg sim.Config) (sim.Result, error)
 // RunJob is RunOne returning the full JobResult, so embedders like the
 // HTTP service can report cache/memo provenance and wall time per job.
 func (r *Runner) RunJob(ctx context.Context, cfg sim.Config) JobResult {
-	r.mu.Lock()
-	r.metrics.Submitted++
-	r.mu.Unlock()
-	return r.do(ctx, cfg)
+	jrs, _ := r.Run(ctx, []sim.Config{cfg})
+	return jrs[0]
 }
 
-// do produces the result for one job: memo, then disk cache, then a
-// simulation with panic recovery and bounded retry. It records metrics
-// and fires the progress callback exactly once per job.
-func (r *Runner) do(ctx context.Context, cfg sim.Config) JobResult {
-	jr := JobResult{Config: cfg}
-	started := time.Now()
-	var (
-		key   string
-		owner bool
-	)
-	settle := func() JobResult {
-		jr.Wall = time.Since(started)
-		if owner && r.onTerminal != nil {
-			// Owned jobs only: duplicates riding the memo would journal
-			// the same key again with no new information.
-			r.onTerminal(key, cfg, jr.Err)
+// runBatch settles one batch of owned jobs; it is the one place an
+// execution ends. Store lookups come first, then a single execution
+// over the misses with per-lane fallback to retrySingle, then for each
+// job the store put, its memo entry, OnTerminal, and metrics.
+func (r *Runner) runBatch(ctx context.Context, jobs []*job) {
+	settle := func(j *job, res sim.Result, err error) {
+		r.publish(j, res, err)
+		if r.onTerminal != nil {
+			r.onTerminal(j.key, j.jr.Config, err)
 		}
-		r.finish(&jr)
-		return jr
+		j.jr.Wall = time.Since(j.start)
+		r.finish(j.jr)
 	}
-
+	var miss []*job
+	var cfgs []sim.Config
+	for _, j := range jobs {
+		j.start = time.Now()
+		if r.store != nil {
+			if res, ok := r.store.Get(j.key); ok {
+				j.jr.CacheHit = true
+				settle(j, res, nil)
+				continue
+			}
+		}
+		miss = append(miss, j)
+		cfgs = append(cfgs, j.jr.Config)
+	}
+	if len(miss) == 0 {
+		return
+	}
 	if err := ctx.Err(); err != nil {
-		jr.Err = err
-		return settle()
-	}
-
-	k, err := Key(cfg)
-	if err != nil {
-		jr.Err = fmt.Errorf("runner: keying %s config: %w", cfg.Benchmark, err)
-		return settle()
-	}
-	key = k
-
-	r.mu.Lock()
-	entry, inFlight := r.memo[key]
-	if !inFlight {
-		entry = &memoEntry{done: make(chan struct{})}
-		r.memo[key] = entry
-	}
-	r.mu.Unlock()
-
-	if inFlight {
-		select {
-		case <-entry.done:
-			jr.Result, jr.Err = entry.res, entry.err
-			jr.MemoHit = true
-		case <-ctx.Done():
-			jr.Err = ctx.Err()
+		for _, j := range miss {
+			settle(j, sim.Result{}, err)
 		}
-		return settle()
+		return
 	}
-
-	// This goroutine owns the entry: fill it from disk or by simulating,
-	// then publish for any duplicates waiting above.
-	owner = true
-	defer close(entry.done)
-
-	if r.store != nil {
-		if res, ok := r.store.Get(key); ok {
-			entry.res = res
-			jr.Result, jr.CacheHit = res, true
-			return settle()
+	res, errs := r.execute(ctx, cfgs)
+	for i, j := range miss {
+		j.jr.Attempts = 1
+		if errs[i] != nil {
+			res[i], errs[i] = r.retrySingle(ctx, cfgs[i], j.jr, errs[i])
 		}
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("runner: %s: %w", cfgs[i].Benchmark, errs[i])
+		} else if r.store != nil {
+			// Checkpoint before reporting done so a cancellation right
+			// after this job still finds the result in the store next
+			// run. A store write failure is not a job failure — the
+			// result itself is good — so it is deliberately dropped.
+			_ = r.store.Put(j.key, cfgs[i], res[i])
+		}
+		settle(j, res[i], errs[i])
 	}
+}
 
-	var res sim.Result
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			entry.err = err
-			jr.Err = err
-			return settle()
+// publish fills an owned memo entry and wakes its duplicates. A
+// cancellation is the caller's outcome, not the config's, so its entry
+// is evicted first: duplicates already waiting still receive the error,
+// but a later call executes afresh. Deterministic failures (budgets,
+// aborts, invalid configs, check failures) stay memoized.
+func (r *Runner) publish(j *job, res sim.Result, err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		r.mu.Lock()
+		if r.memo[j.key] == j.entry {
+			delete(r.memo, j.key)
 		}
-		jr.Attempts = attempt + 1
-		res, err = r.simulate(ctx, cfg)
-		if err == nil || attempt >= r.retries || !Retryable(err) {
-			break
+		r.mu.Unlock()
+	}
+	j.entry.res, j.entry.err = res, err
+	j.jr.Result, j.jr.Err = res, err
+	close(j.entry.done)
+}
+
+// execute runs one batch's misses on the executor its lane count
+// selects: r.sim for a lone lane (the default simulator, the snapshot
+// path, a coordinator's fleet dispatch, or a test stub) and lockstep
+// sim.RunBatch for several. A panic becomes every lane's error, so a
+// bad design point cannot take down a thousand-point sweep; the lanes
+// then take the per-run retry path, which isolates a genuinely
+// poisonous config to its own job.
+func (r *Runner) execute(ctx context.Context, cfgs []sim.Config) (res []sim.Result, errs []error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err := fmt.Errorf("simulation panicked: %v\n%s", p, debug.Stack())
+			res = make([]sim.Result, len(cfgs))
+			errs = make([]error, len(cfgs))
+			for i := range errs {
+				errs[i] = err
+			}
+		}
+	}()
+	if len(cfgs) == 1 {
+		one, err := r.sim(ctx, cfgs[0])
+		return []sim.Result{one}, []error{err}
+	}
+	return sim.RunBatch(ctx, cfgs, r.runOpts)
+}
+
+// retrySingle re-runs one failed lane on its own, honoring the retry
+// budget, backoff, and Retryable. It returns the first success or the
+// last error.
+func (r *Runner) retrySingle(ctx context.Context, cfg sim.Config, jr *JobResult, err error) (sim.Result, error) {
+	for attempt := 1; attempt <= r.retries && Retryable(err); attempt++ {
+		if cerr := ctx.Err(); cerr != nil {
+			return sim.Result{}, cerr
 		}
 		r.mu.Lock()
 		r.metrics.Retries++
 		r.mu.Unlock()
-		if !r.sleepBackoff(ctx, attempt) {
-			entry.err = ctx.Err()
-			jr.Err = entry.err
-			return settle()
+		if !r.sleepBackoff(ctx, attempt-1) {
+			return sim.Result{}, ctx.Err()
 		}
+		jr.Attempts++
+		res, errs := r.execute(ctx, []sim.Config{cfg})
+		if errs[0] == nil {
+			return res[0], nil
+		}
+		err = errs[0]
 	}
-	if err != nil {
-		entry.err = fmt.Errorf("runner: %s: %w", cfg.Benchmark, err)
-		jr.Err = entry.err
-		return settle()
-	}
-	entry.res = res
-	jr.Result = res
-	if r.store != nil {
-		// Checkpoint before reporting done so a cancellation right after
-		// this job still finds the result in the store next run. A store
-		// write failure is not a job failure — the result itself is
-		// good — so it is deliberately dropped.
-		_ = r.store.Put(key, cfg, res)
-	}
-	return settle()
+	return sim.Result{}, err
 }
 
 // sleepBackoff waits out the exponential-backoff delay before retry
@@ -506,17 +570,6 @@ func (r *Runner) sleepBackoff(ctx context.Context, attempt int) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// simulate runs one simulation, converting a panic into an error so a
-// bad design point cannot take down a thousand-point sweep.
-func (r *Runner) simulate(ctx context.Context, cfg sim.Config) (res sim.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("simulation panicked: %v\n%s", p, debug.Stack())
-		}
-	}()
-	return r.sim(ctx, cfg)
 }
 
 // finish folds one completed job into the metrics and fires the

@@ -472,3 +472,53 @@ func TestRunJobProvenance(t *testing.T) {
 		t.Errorf("simulated %d times across runners, want 1", sims.Load())
 	}
 }
+
+// TestCancelledExecutionNotMemoized: a cancellation is the caller's
+// outcome, not the config's. Duplicates already waiting receive it, but
+// a fresh Run of the same configs simulates and succeeds — while a
+// deterministic failure stays memoized.
+func TestCancelledExecutionNotMemoized(t *testing.T) {
+	r := newTest(t, Options{Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	r.sim = func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+		cancel() // cancel while the job is in flight
+		<-ctx.Done()
+		return sim.Result{}, ctx.Err()
+	}
+	cfgs := stubConfigs(4)
+	jrs, err := r.Run(ctx, append(cfgs, cfgs[0])) // the last job duplicates the first
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Run err = %v, want context.Canceled", err)
+	}
+	for i, jr := range jrs {
+		if !errors.Is(jr.Err, context.Canceled) {
+			t.Errorf("cancelled job %d: err = %v, want context.Canceled", i, jr.Err)
+		}
+	}
+
+	var sims atomic.Int64
+	r.sim = func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+		sims.Add(1)
+		if cfg.Seed == 4 {
+			return sim.Result{}, fmt.Errorf("synthetic: %w", sim.ErrBudget)
+		}
+		return stubSim(ctx, cfg)
+	}
+	jrs, err = r.Run(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, jr := range jrs[:3] {
+		if jr.Err != nil || jr.MemoHit || jr.Result.IPC != float64(i+1) {
+			t.Errorf("fresh job %d = %+v, want a new successful simulation", i, jr)
+		}
+	}
+	if got := sims.Load(); got != 4 {
+		t.Errorf("fresh Run simulated %d times, want 4", got)
+	}
+	// A deterministic failure is the config's outcome: it stays memoized.
+	jr := r.RunJob(context.Background(), cfgs[3])
+	if !jr.MemoHit || !errors.Is(jr.Err, sim.ErrBudget) || sims.Load() != 4 {
+		t.Errorf("repeat of a budget failure = %+v after %d sims, want a memoized ErrBudget", jr, sims.Load())
+	}
+}

@@ -45,8 +45,8 @@ func TestServiceBatchedDrain(t *testing.T) {
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	})
-	if svc.opts.BatchSize != 4 {
-		t.Fatalf("service BatchSize = %d, want 4 adopted from the runner", svc.opts.BatchSize)
+	if r.BatchSize() != 4 {
+		t.Fatalf("service BatchSize = %d, want 4 adopted from the runner", r.BatchSize())
 	}
 
 	const n = 6
@@ -102,7 +102,7 @@ func TestServiceBatchSizeOneKeepsClassicLoop(t *testing.T) {
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	})
-	if svc.opts.BatchSize != 1 {
-		t.Fatalf("service BatchSize = %d, want 1", svc.opts.BatchSize)
+	if r.BatchSize() != 1 {
+		t.Fatalf("service BatchSize = %d, want 1", r.BatchSize())
 	}
 }

@@ -129,9 +129,6 @@ func (s *Service) workerMetrics(p *stats.Prom, cs *ClusterStatus) {
 	p.CounterVec("hbserved_worker_failed_total", "Dispatch-level failures (transport, protocol) against the worker.", vec(func(w WorkerStatus) float64 {
 		return float64(w.Failed)
 	}))
-	p.CounterVec("hbserved_worker_stolen_total", "Points the worker executed for a shard planned onto a peer.", vec(func(w WorkerStatus) float64 {
-		return float64(w.Stolen)
-	}))
 	p.CounterVec("hbserved_worker_breaker_opens_total", "Times the worker's breaker tripped open.", vec(func(w WorkerStatus) float64 {
 		return float64(w.BreakerOpens)
 	}))

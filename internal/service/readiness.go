@@ -27,7 +27,6 @@ type WorkerStatus struct {
 	Dispatched   int64  `json:"dispatched"`
 	Completed    int64  `json:"completed"`
 	Failed       int64  `json:"failed"`
-	Stolen       int64  `json:"stolen"`
 	Breaker      string `json:"breaker"`
 	BreakerOpens int64  `json:"breaker_opens"`
 }

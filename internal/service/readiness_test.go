@@ -97,7 +97,7 @@ func TestReadyzCluster(t *testing.T) {
 		ClusterStatus: func(ctx context.Context) *ClusterStatus {
 			return &ClusterStatus{
 				Workers: []WorkerStatus{
-					{URL: "http://w1", Healthy: true, State: "active", Registered: true, LeaseAgeMs: 120, Dispatched: 5, Completed: 4, Stolen: 1, Breaker: "closed"},
+					{URL: "http://w1", Healthy: true, State: "active", Registered: true, LeaseAgeMs: 120, Dispatched: 5, Completed: 4, Breaker: "closed"},
 					{URL: "http://w2", Healthy: false, State: "expired", Registered: true, LeaseAgeMs: 99000, Failed: 3, Breaker: "open", BreakerOpens: 2},
 				},
 				Live:           live,
@@ -149,7 +149,6 @@ func TestReadyzCluster(t *testing.T) {
 		`hbserved_worker_breaker_state{worker="http://w2"} 1`,
 		`hbserved_worker_lease_age_seconds{worker="http://w1"} 0.12`,
 		`hbserved_worker_dispatched_total{worker="http://w1"} 5`,
-		`hbserved_worker_stolen_total{worker="http://w1"} 1`,
 		`hbserved_worker_breaker_opens_total{worker="http://w2"} 2`,
 	} {
 		if !strings.Contains(body, want) {

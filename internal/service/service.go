@@ -34,24 +34,19 @@ type Options struct {
 	// A submit that finds the queue full fails with ErrQueueFull (HTTP
 	// 429 + Retry-After). Zero selects 64.
 	QueueSize int
-	// Concurrency is how many jobs execute at once. The runner below
-	// has its own worker pool for batch calls, but the service drives
-	// it through single-job calls, so this is the effective global
-	// simulation concurrency. Zero selects the runner's worker count.
+	// Concurrency is how many service workers pull from the queue. Each
+	// takes one job, drains up to the runner's BatchSize-1 more without
+	// waiting, and hands them to the runner as one call. With the
+	// runner's default BatchSize of 1 this is the number of jobs
+	// executing at once; on a coordinator, each executing job is one
+	// point dispatched to the fleet. Zero selects the runner's worker
+	// count.
 	Concurrency int
-	// JobTimeout caps one job's wall time, cancelling its context past
-	// the deadline. Zero means no per-job timeout. On the batched drain
-	// path (BatchSize > 1) the timeout spans the whole drained batch:
+	// JobTimeout caps one runner call's wall time, cancelling its
+	// context past the deadline. Zero means no timeout. When a worker
+	// drains several jobs into one call the timeout spans them all:
 	// lockstep lanes share one clock.
 	JobTimeout time.Duration
-	// BatchSize, when greater than one, lets each worker drain up to
-	// BatchSize queued jobs in one gulp and execute them as a single
-	// runner batch call, so a batch-capable runner
-	// (runner.Options.BatchSize) steps them in lockstep instead of one
-	// at a time. One forces the classic one-job-at-a-time loop; zero
-	// adopts the runner's own batch size, so wiring -batch through the
-	// runner is enough.
-	BatchSize int
 	// RetryAfter is the backoff hint returned with 429 responses.
 	// Zero selects one second.
 	RetryAfter time.Duration
@@ -113,12 +108,6 @@ func (o Options) withDefaults(r *runner.Runner) Options {
 	}
 	if o.Concurrency <= 0 {
 		o.Concurrency = r.Workers()
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = r.BatchSize()
-	}
-	if o.BatchSize < 1 {
-		o.BatchSize = 1
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
@@ -388,36 +377,7 @@ func New(r *runner.Runner, opts Options) *Service {
 	})
 	for i := 0; i < opts.Concurrency; i++ {
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if opts.BatchSize <= 1 {
-				for j := range s.queue {
-					s.runJob(j)
-				}
-				return
-			}
-			// Batched drain: take one job (blocking), then greedily
-			// drain up to BatchSize-1 more without waiting, and run the
-			// gulp as one batch. An idle service still starts a lone
-			// job immediately — batching never delays work to wait for
-			// companions.
-			for j := range s.queue {
-				batch := []*job{j}
-			drain:
-				for len(batch) < opts.BatchSize {
-					select {
-					case next, ok := <-s.queue:
-						if !ok {
-							break drain
-						}
-						batch = append(batch, next)
-					default:
-						break drain
-					}
-				}
-				s.runJobs(batch)
-			}
-		}()
+		go s.work()
 	}
 	return s
 }
@@ -748,55 +708,50 @@ func (s *Service) Resume(id string) (JobView, error) {
 	return s.viewLocked(j), nil
 }
 
-// runJob executes one queued job on a worker goroutine.
-func (s *Service) runJob(j *job) {
-	s.mu.Lock()
-	j.state = StateRunning
-	s.running++
-	s.appendJobEventLocked(j, Event{Type: "state", State: StateRunning})
-	s.mu.Unlock()
+// work is the service's one worker loop. It takes one job (blocking),
+// drains up to the runner's BatchSize-1 more without waiting, and
+// executes them as one runner call, so a batch-capable runner steps
+// them in lockstep. An idle service still starts a lone job at once:
+// batching never delays work to wait for companions. Each job settles
+// individually.
+func (s *Service) work() {
+	defer s.wg.Done()
+	for first := range s.queue {
+		jobs := []*job{first}
+	drain:
+		for len(jobs) < s.run.BatchSize() {
+			select {
+			case j, ok := <-s.queue:
+				if !ok {
+					break drain
+				}
+				jobs = append(jobs, j)
+			default:
+				break drain
+			}
+		}
 
-	ctx := s.baseCtx
-	if s.opts.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
-		defer cancel()
-	}
-	jr := s.run.RunJob(ctx, j.cfg)
-	s.settleJob(j, jr)
-}
+		cfgs := make([]sim.Config, len(jobs))
+		s.mu.Lock()
+		for i, j := range jobs {
+			j.state = StateRunning
+			s.running++
+			s.appendJobEventLocked(j, Event{Type: "state", State: StateRunning})
+			cfgs[i] = j.cfg
+		}
+		s.mu.Unlock()
 
-// runJobs executes a drained gulp of queued jobs as one runner batch
-// call (the BatchSize > 1 worker loop). Each job still settles — state,
-// breaker, latency, sweep progress — individually.
-func (s *Service) runJobs(jobs []*job) {
-	if len(jobs) == 1 {
-		s.runJob(jobs[0])
-		return
-	}
-	s.mu.Lock()
-	for _, j := range jobs {
-		j.state = StateRunning
-		s.running++
-		s.appendJobEventLocked(j, Event{Type: "state", State: StateRunning})
-	}
-	s.mu.Unlock()
-
-	ctx := s.baseCtx
-	if s.opts.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
-		defer cancel()
-	}
-	cfgs := make([]sim.Config, len(jobs))
-	for i, j := range jobs {
-		cfgs[i] = j.cfg
-	}
-	// Per-job errors live in the JobResults; the bulk error duplicates
-	// what each lane already carries after cancellation.
-	jrs, _ := s.run.Run(ctx, cfgs)
-	for i, j := range jobs {
-		s.settleJob(j, jrs[i])
+		ctx, cancel := s.baseCtx, func() {}
+		if s.opts.JobTimeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
+		}
+		// Per-job errors live in the JobResults; the call's error only
+		// repeats the cancellation each of them already carries.
+		jrs, _ := s.run.Run(ctx, cfgs)
+		cancel()
+		for i, j := range jobs {
+			s.settleJob(j, jrs[i])
+		}
 	}
 }
 
