@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build bin test race vet fmt verify bench serve chaos cover fuzz cluster sample trace
+.PHONY: build bin test race vet fmt verify bench serve chaos cover fuzz cluster sample trace loc
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,14 @@ serve:
 
 verify: build vet fmt race test
 	@echo "verify: OK"
+
+# Source-size report: added, removed, and net lines of non-test Go
+# source (perfbench/ excluded) in the working tree against BASE, from
+# git diff --numstat. Informational; every change reports its number.
+BASE ?= HEAD^
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)perfbench' | \
+	awk '{a += $$1; r += $$2} END {printf "non-test Go source vs $(BASE): +%d -%d, net %+d lines\n", a, r, a - r}'
 
 # Record→replay conformance: the binary trace format must be lossless
 # (every workload replays instruction-for-instruction, same FNV stream

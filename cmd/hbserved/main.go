@@ -218,9 +218,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		cacheDir   = fs.String("cache-dir", "", "content-addressed result cache directory (empty = caching off)")
-		snapDir    = fs.String("snapshot-dir", "", "checkpoint directory: jobs share prewarm snapshots and budget-truncated jobs park resumable checkpoints (POST /v1/jobs/{id}/resume)")
+		snapDir    = fs.String("snapshot-dir", "", "checkpoint directory: budget-truncated jobs park resumable checkpoints (POST /v1/jobs/{id}/resume); runs one simulation at a time, so not with -batch N > 1")
 		workers    = fs.Int("j", 0, "concurrent simulations (0 = all CPUs)")
-		batch      = fs.Int("batch", 1, "lockstep simulations per worker: drain up to N queued jobs and step them as one batch, sharing stream generation and prewarm (1 = off; ignored with -snapshot-dir and in coordinator role)")
+		batch      = fs.Int("batch", 1, "lockstep simulations per worker: drain up to N queued jobs and step them as one batch, sharing stream generation and prewarm (1 = off; N > 1 cannot be combined with -snapshot-dir or -role coordinator)")
 		queueSize  = fs.Int("queue", 64, "bounded job queue size; a full queue answers 429")
 		jobTimeout = fs.Duration("job-timeout", 0, "per-job wall-time cap (0 = none)")
 		retryAfter = fs.Duration("retry-after", time.Second, "backoff hint sent with 429 responses")
@@ -298,11 +298,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *registerAt != "" {
 			return errors.New("-register is only meaningful on workers (single or worker role)")
 		}
+		if *batch > 1 {
+			return fmt.Errorf("-batch %d cannot be combined with -role coordinator: the fleet simulates one point per dispatch", *batch)
+		}
 	default:
 		return fmt.Errorf("unknown -role %q (want single, worker, or coordinator)", *role)
 	}
 	if *advertise != "" && *registerAt == "" {
 		return errors.New("-advertise requires -register")
+	}
+	if *batch > 1 && *snapDir != "" {
+		return fmt.Errorf("-batch %d cannot be combined with -snapshot-dir: batch lanes cannot park abort checkpoints", *batch)
 	}
 
 	// Resolve the result-store backend. "auto" picks remote when

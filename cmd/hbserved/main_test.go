@@ -148,4 +148,17 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "256.0.0.1:http"}, &out, &errBuf); err == nil {
 		t.Error("run with unlistenable address succeeded, want error")
 	}
+	// -batch N > 1 cannot apply with a snapshot dir or on a coordinator.
+	for _, tc := range []struct {
+		args  []string
+		other string
+	}{
+		{[]string{"-batch", "4", "-snapshot-dir", t.TempDir()}, "-snapshot-dir"},
+		{[]string{"-role", "coordinator", "-batch", "4"}, "-role coordinator"},
+	} {
+		err := run(context.Background(), tc.args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-batch") || !strings.Contains(err.Error(), tc.other) {
+			t.Errorf("run %v = %v, want an error naming -batch and %s", tc.args, err, tc.other)
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -53,5 +55,32 @@ func TestSweepWithCheckFlag(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "gcc,8192,1,duplicate,") {
 		t.Errorf("row = %q", lines[1])
+	}
+}
+
+// TestSweepRejectsBadSpecs: flag combinations and modes the sweep
+// cannot honor fail before anything runs, naming what was wrong.
+func TestSweepRejectsBadSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edit  func(*sweepSpec)
+		names []string
+	}{
+		// Batch lanes cannot park abort checkpoints.
+		{"batch with snapshot dir", func(s *sweepSpec) { s.batchSize, s.snapshotDir = 8, t.TempDir() }, []string{"-batch", "-snapshot-dir"}},
+		{"removed stream prewarm mode", func(s *sweepSpec) { s.prewarmMode = "stream" }, []string{"prewarm mode", "stream"}},
+	} {
+		spec := testSpec()
+		tc.edit(&spec)
+		_, err := runSweep(context.Background(), io.Discard, io.Discard, spec)
+		if err == nil {
+			t.Errorf("%s: runSweep succeeded, want an error", tc.name)
+			continue
+		}
+		for _, n := range tc.names {
+			if !strings.Contains(err.Error(), n) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, n)
+			}
+		}
 	}
 }

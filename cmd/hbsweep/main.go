@@ -77,11 +77,11 @@ func main() {
 		prewarm  = flag.Uint64("prewarm", 0, "prewarm instructions per point (0 = sim default)")
 		warmup   = flag.Uint64("warmup", 0, "timed warm-up instructions per point (0 = sim default)")
 		insts    = flag.Uint64("insts", sim.DefaultMeasure, "measured instructions per point")
-		pwMode   = flag.String("prewarm-mode", "", "prewarm mode: fast-forward (default), stream, timing")
+		pwMode   = flag.String("prewarm-mode", "", "prewarm mode: fast-forward (default), timing")
 		workers  = flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
-		batch    = flag.Int("batch", 1, "lockstep simulations per worker: each worker steps up to N points as one batch, sharing stream generation and prewarm (1 = off; ignored with -snapshot-dir)")
+		batch    = flag.Int("batch", 1, "lockstep simulations per worker: each worker steps up to N points as one batch, sharing stream generation and prewarm (1 = off; N > 1 cannot be combined with -snapshot-dir)")
 		cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty = caching off)")
-		snapDir  = flag.String("snapshot-dir", "", "checkpoint directory: sweep neighbors share prewarm snapshots and budget-truncated points park resumable checkpoints here")
+		snapDir  = flag.String("snapshot-dir", "", "checkpoint directory: budget-truncated points park resumable checkpoints here and a re-run resumes them (runs one simulation at a time: not with -batch N > 1)")
 		sample   = flag.String("sample", "", "interval sampling plan \"interval,window,warmup\" in instructions, applied to every point")
 		progress = flag.Bool("progress", false, "report progress on stderr while the sweep runs")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per point (0 = unlimited); a point over budget fails the sweep")
@@ -201,6 +201,15 @@ func (s sweepSpec) configs() []sim.Config {
 // count or completion order. The returned metrics report how the work
 // was satisfied (simulated, cache hits, dedup).
 func runSweep(ctx context.Context, out, errw io.Writer, spec sweepSpec) (runner.Metrics, error) {
+	if spec.batchSize > 1 && spec.snapshotDir != "" {
+		return runner.Metrics{}, fmt.Errorf("-batch %d cannot be combined with -snapshot-dir: batch lanes cannot park abort checkpoints", spec.batchSize)
+	}
+	cfgs := spec.configs()
+	for _, cfg := range cfgs {
+		if err := cfg.WithDefaults().Validate(); err != nil {
+			return runner.Metrics{}, err
+		}
+	}
 	opts := runner.Options{
 		Workers:      spec.workers,
 		BatchSize:    spec.batchSize,
@@ -219,8 +228,6 @@ func runSweep(ctx context.Context, out, errw io.Writer, spec sweepSpec) (runner.
 	if err != nil {
 		return runner.Metrics{}, err
 	}
-
-	cfgs := spec.configs()
 	jrs, err := r.Run(ctx, cfgs)
 	if spec.progress {
 		fmt.Fprintln(errw)

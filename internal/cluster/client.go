@@ -272,11 +272,6 @@ func (c *Client) StreamJobEvents(ctx context.Context, id string, on func(service
 	return c.streamSSE(ctx, "/v1/jobs/"+id+"/events", on)
 }
 
-// StreamSweepEvents follows a sweep's SSE stream the same way.
-func (c *Client) StreamSweepEvents(ctx context.Context, id string, on func(service.Event) bool) error {
-	return c.streamSSE(ctx, "/v1/sweeps/"+id+"/events", on)
-}
-
 // streamSSE reads an SSE stream on the calling goroutine. The request
 // is bound to ctx, so cancellation closes the response body and the
 // blocked read returns immediately — the no-goroutine-leak guarantee

@@ -146,17 +146,6 @@ func (a *Array) ProbeMeta(addr uint64) (uint64, bool) {
 	return a.meta[base+slot], true
 }
 
-// OrMeta merges bits into addr's line metadata without updating recency,
-// reporting whether the line is present.
-func (a *Array) OrMeta(addr uint64, bits uint64) bool {
-	base, slot, _ := a.find(addr)
-	if slot < 0 {
-		return false
-	}
-	a.meta[base+slot] |= bits
-	return true
-}
-
 // MarkDirty sets addr's line dirty without updating recency, reporting
 // whether the line is present.
 func (a *Array) MarkDirty(addr uint64) bool {

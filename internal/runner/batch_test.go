@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -169,39 +170,31 @@ func TestBatchedRetryFallback(t *testing.T) {
 	}
 }
 
-// TestBatchedSnapshotDirWins pins the documented interaction for the
-// two mutually exclusive prewarm-sharing mechanisms: with SnapshotDir
-// set, batching is disabled and the snapshot path keeps producing its
-// shared prewarm checkpoints.
+// TestBatchedSnapshotDirWins pins the documented interaction: batch
+// lanes cannot write abort checkpoints, so with SnapshotDir set
+// batching is disabled and every budget-truncated job still parks its
+// own resumable checkpoint.
 func TestBatchedSnapshotDirWins(t *testing.T) {
 	dir := t.TempDir()
-	r, err := New(Options{Workers: 2, BatchSize: 8, SnapshotDir: dir})
+	r, err := New(Options{Workers: 2, BatchSize: 8, SnapshotDir: dir, SimMaxCycles: 2_000, RetryBackoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.BatchSize() != 1 {
 		t.Fatalf("BatchSize() = %d with SnapshotDir set, want 1 (snapshot path wins)", r.BatchSize())
 	}
-	// Two configs sharing a prewarm projection: the second should find
-	// the first's prewarm snapshot.
-	a := realConfig(0)
-	b := realConfig(0)
-	b.Memory.L1.HitCycles = 3 // timing-only change, same prewarm projection
-	jrs, err := r.Run(context.Background(), []sim.Config{a, b})
+	cfgs := realConfigs(2)
+	jrs, err := r.Run(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, jr := range jrs {
-		if jr.Err != nil {
-			t.Fatalf("job %d: %v", i, jr.Err)
+		if !errors.Is(jr.Err, sim.ErrBudget) {
+			t.Fatalf("job %d: err = %v, want ErrBudget under a 2000-cycle budget", i, jr.Err)
 		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) == 0 {
-		t.Error("SnapshotDir is empty: prewarm snapshot sharing was lost")
+		if _, serr := os.Stat(filepath.Join(dir, "abort-"+mustKey(t, cfgs[i])+".json")); serr != nil {
+			t.Errorf("job %d parked no abort checkpoint: %v", i, serr)
+		}
 	}
 	// And a custom Sim likewise forces the per-run path.
 	rs, err := New(Options{BatchSize: 8, Sim: stubSim})

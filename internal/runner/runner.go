@@ -75,16 +75,14 @@ type Options struct {
 	// are still content-keyed, memoized, cached, and returned in
 	// submission order; a retryable lane failure falls back to per-run
 	// retries. Ignored when Sim replaces the simulator or SnapshotDir is
-	// set — snapshot prewarm sharing and lockstep batching are mutually
-	// exclusive, and the snapshot path wins so resumable sweeps keep
-	// their checkpoints.
+	// set: batch lanes cannot write the abort checkpoints SnapshotDir
+	// parks, so a snapshot-dir runner runs one simulation at a time.
 	BatchSize int
-	// SnapshotDir, when non-empty, enables checkpoint/restore for the
-	// default simulator: sweep neighbors sharing a prewarm projection
-	// reuse one prewarm snapshot instead of each re-warming from cold,
-	// and budget-truncated jobs (SimMaxCycles/SimTimeout) park an abort
-	// snapshot there so a re-submission resumes instead of restarting.
-	// Ignored when Sim is set.
+	// SnapshotDir, when non-empty, parks and resumes abort checkpoints
+	// for the default simulator: a budget-truncated job
+	// (SimMaxCycles/SimTimeout) leaves an abort snapshot there, and a
+	// re-submission of the same config resumes it instead of
+	// restarting. Ignored when Sim is set.
 	SnapshotDir string
 	// Faults, when non-nil, is the chaos registry threaded through the
 	// simulator and the disk cache's fault sites.

@@ -2,35 +2,12 @@ package runner
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 
 	"hbcache/internal/sim"
 )
-
-// prewarmKeyVersion tags the prewarm-snapshot content address. It is
-// independent of the result cache's keyVersion: a snapshot is valid as
-// long as the machine state it captures is, which changes with the
-// snapshot format, not with result-encoding changes.
-const prewarmKeyVersion = "hbcache-snap-v1"
-
-// PrewarmKey returns the content address of a config's end-of-prewarm
-// machine state: the hex SHA-256 of its sim.PrewarmProjection under the
-// snapshot key version. Sweep neighbors that differ only in measure
-// windows or sampling plans share a key — and therefore one prewarm
-// snapshot.
-func PrewarmKey(cfg sim.Config) (string, error) {
-	b, err := json.Marshal(keyEnvelope{Version: prewarmKeyVersion, Config: sim.PrewarmProjection(cfg)})
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
 
 // Forget drops the memoized outcome for cfg, so the next submission of
 // the same canonical config re-executes instead of replaying the memo.
@@ -50,31 +27,14 @@ func (r *Runner) Forget(cfg sim.Config) error {
 	return nil
 }
 
-// snapshotPaths locates cfg's snapshot files under dir: the abort
-// checkpoint is keyed by the full canonical config (a resumed job must
-// match exactly), the prewarm checkpoint by the prewarm projection (so
-// neighbors share it).
-func snapshotPaths(dir string, cfg sim.Config) (abortPath, prewarmPath string, err error) {
-	key, err := Key(cfg)
-	if err != nil {
-		return "", "", err
-	}
-	pkey, err := PrewarmKey(cfg)
-	if err != nil {
-		return "", "", err
-	}
-	return filepath.Join(dir, "abort-"+key+".json"), filepath.Join(dir, "prewarm-"+pkey+".json"), nil
-}
-
-// snapshotSim wraps the default simulator with checkpoint/restore under
-// dir. Resolution order per attempt: resume this config's abort
-// snapshot if one is parked; else resume a shared prewarm snapshot if a
-// neighbor already produced one; else run cold and leave a prewarm
-// snapshot behind for the next neighbor. Budget-truncated attempts park
-// an abort snapshot so the next attempt continues instead of
-// restarting. An unusable snapshot (sim.ErrSnapshot — it was
-// quarantined to *.corrupt) falls back to one cold attempt, so a
-// corrupt file costs throughput, never correctness or availability.
+// snapshotSim wraps the default simulator with abort checkpoints under
+// dir. Each attempt resumes this config's parked abort snapshot
+// (abort-<key>.json, keyed by the full canonical config, since a resume
+// must match exactly) if one exists, and a budget-truncated attempt
+// parks one there so the next attempt continues instead of restarting.
+// An unusable snapshot (sim.ErrSnapshot — it was quarantined to
+// *.corrupt) falls back to one cold attempt, so a corrupt file costs
+// throughput, never correctness or availability.
 func snapshotSim(dir string, runOpts sim.RunOpts) func(context.Context, sim.Config) (sim.Result, error) {
 	return func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 		opts := runOpts
@@ -85,24 +45,19 @@ func snapshotSim(dir string, runOpts sim.RunOpts) func(context.Context, sim.Conf
 		if cfg.Sample != nil {
 			return sim.RunContext(ctx, cfg, opts)
 		}
-		abortPath, prewarmPath, err := snapshotPaths(dir, cfg)
+		key, err := Key(cfg)
 		if err != nil {
 			return sim.RunContext(ctx, cfg, opts)
 		}
+		abortPath := filepath.Join(dir, "abort-"+key+".json")
 		opts.SnapshotOnAbort = abortPath
 		if _, serr := os.Stat(abortPath); serr == nil {
 			opts.Resume = abortPath
-		} else if _, serr := os.Stat(prewarmPath); serr == nil {
-			opts.Resume = prewarmPath
-		} else {
-			opts.SnapshotPrewarm = prewarmPath
 		}
 		res, err := sim.RunContext(ctx, cfg, opts)
 		if errors.Is(err, sim.ErrSnapshot) {
-			// The bad file is quarantined; this config runs cold once and
-			// re-publishes the prewarm snapshot for its neighbors.
+			// The bad file is quarantined; this config runs cold once.
 			opts.Resume = ""
-			opts.SnapshotPrewarm = prewarmPath
 			res, err = sim.RunContext(ctx, cfg, opts)
 		}
 		if err == nil {

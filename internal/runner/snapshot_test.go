@@ -1,12 +1,13 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hbcache/internal/cpu"
@@ -23,92 +24,6 @@ func snapTestConfig(measure uint64) sim.Config {
 		PrewarmInsts: 100_000,
 		WarmupInsts:  5_000,
 		MeasureInsts: measure,
-	}
-}
-
-func TestPrewarmKeySharedAcrossMeasureWindows(t *testing.T) {
-	a, err := PrewarmKey(snapTestConfig(40_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PrewarmKey(snapTestConfig(60_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("configs differing only in measure window got different prewarm keys")
-	}
-	sampled := snapTestConfig(40_000)
-	sampled.Sample = &sim.SampleSpec{IntervalInsts: 10_000, WindowInsts: 1_000, WarmupInsts: 500}
-	c, err := PrewarmKey(sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != c {
-		t.Fatal("sampling plan leaked into the prewarm key")
-	}
-	other := snapTestConfig(40_000)
-	other.Seed = 2
-	d, err := PrewarmKey(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == d {
-		t.Fatal("different seeds share a prewarm key")
-	}
-	jobA, err := Key(snapTestConfig(40_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jobA == a {
-		t.Fatal("prewarm key collides with the result-cache key space")
-	}
-}
-
-// TestSnapshotDirSharesPrewarm pins the sweep acceleration: with a
-// snapshot dir, the first job leaves a prewarm checkpoint and a
-// measure-window neighbor resumes it — producing exactly the result it
-// would have produced from cold.
-func TestSnapshotDirSharesPrewarm(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-
-	cold, err := New(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantA, err := cold.RunOne(ctx, snapTestConfig(40_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := cold.RunOne(ctx, snapTestConfig(60_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	snap, err := New(Options{Workers: 1, SnapshotDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotA, err := snap.RunOne(ctx, snapTestConfig(40_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "prewarm-*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("prewarm snapshots after first job: %v (err %v), want exactly 1", entries, err)
-	}
-	gotB, err := snap.RunOne(ctx, snapTestConfig(60_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotB, wantB) {
-		t.Fatalf("snapshot-dir results diverge from cold runs:\ncold A %+v\nsnap A %+v\ncold B %+v\nsnap B %+v", wantA, gotA, wantB, gotB)
-	}
-	// The neighbor must not have published a second prewarm snapshot.
-	entries, _ = filepath.Glob(filepath.Join(dir, "prewarm-*.json"))
-	if len(entries) != 1 {
-		t.Fatalf("prewarm snapshots after neighbor: %d, want 1 (shared)", len(entries))
 	}
 }
 
@@ -167,30 +82,35 @@ func TestSnapshotDirAbortResume(t *testing.T) {
 	}
 }
 
-// TestSnapshotDirCorruptFallsBackCold: a quarantined snapshot must cost
-// one cold re-run, not the job.
+// TestSnapshotDirCorruptFallsBackCold: a quarantined abort snapshot
+// must cost one cold re-run, not the job.
 func TestSnapshotDirCorruptFallsBackCold(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	cfg := snapTestConfig(40_000)
 
+	want, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A budget-truncated attempt parks the abort snapshot...
+	parker, err := New(Options{Workers: 1, SnapshotDir: dir, SimMaxCycles: 5_000, RetryBackoff: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parker.RunOne(ctx, cfg); !errors.Is(err, sim.ErrBudget) {
+		t.Fatalf("budgeted run: err = %v, want ErrBudget", err)
+	}
+	if err := parker.Forget(cfg); err != nil {
+		t.Fatal(err)
+	}
+	// ...which is then torn in place.
+	abortPath := filepath.Join(dir, "abort-"+mustKey(t, cfg)+".json")
+	if err := os.WriteFile(abortPath, []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	r, err := New(Options{Workers: 1, SnapshotDir: dir})
 	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := r.RunOne(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the shared prewarm snapshot in place.
-	entries, _ := filepath.Glob(filepath.Join(dir, "prewarm-*.json"))
-	if len(entries) != 1 {
-		t.Fatalf("prewarm snapshots: %d, want 1", len(entries))
-	}
-	if err := os.WriteFile(entries[0], []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Forget(cfg); err != nil {
 		t.Fatal(err)
 	}
 	got, err := r.RunOne(ctx, cfg)
@@ -200,13 +120,63 @@ func TestSnapshotDirCorruptFallsBackCold(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("corrupt-fallback result diverges:\nwant %+v\ngot  %+v", want, got)
 	}
-	if _, err := os.Stat(entries[0] + ".corrupt"); err != nil {
+	if _, err := os.Stat(abortPath + ".corrupt"); err != nil {
 		t.Fatalf("corrupt snapshot not quarantined: %v", err)
 	}
-	// The cold fallback must have re-published a healthy prewarm
-	// snapshot for future neighbors.
-	if _, err := os.Stat(entries[0]); err != nil {
-		t.Fatalf("prewarm snapshot not re-published after quarantine: %v", err)
+	if _, err := os.Stat(abortPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("completed job left an abort snapshot behind")
+	}
+}
+
+// TestSnapshotDirRejectsPrewarmBoundary: older builds wrote
+// end-of-prewarm snapshots (phase warmup, nothing remaining). Resuming
+// one must fail closed with ErrSnapshot, and a runner that finds one
+// parked must fall back to a cold run identical to sim.Run.
+func TestSnapshotDirRejectsPrewarmBoundary(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	cfg := snapTestConfig(40_000).WithDefaults()
+
+	mid := filepath.Join(dir, "mid.json")
+	if _, err := sim.RunContext(ctx, cfg, sim.RunOpts{SnapshotPath: mid, SnapshotAt: 1}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.ReadSnapshot(mid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Phase, st.Remaining = "warmup", 0
+	abortPath := filepath.Join(dir, "abort-"+mustKey(t, cfg)+".json")
+	if err := sim.WriteSnapshot(abortPath, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunContext(ctx, cfg, sim.RunOpts{Resume: abortPath}); !errors.Is(err, sim.ErrSnapshot) {
+		t.Fatalf("prewarm-boundary resume: err = %v, want ErrSnapshot", err)
+	}
+
+	// A rejected snapshot is left in place (only unreadable files are
+	// quarantined), so the runner below meets it too.
+	if _, err := os.Stat(abortPath); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := snapshotSim(dir, sim.RunOpts{})(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("fallback result diverges from sim.Run:\nwant %s\ngot  %s", wantJSON, gotJSON)
 	}
 }
 
@@ -242,17 +212,5 @@ func TestForget(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("Forget did not force re-execution: %d calls", calls)
-	}
-}
-
-// TestSnapshotPathsDisjoint guards the file namespace: abort and
-// prewarm files must never collide for any config.
-func TestSnapshotPathsDisjoint(t *testing.T) {
-	a, p, err := snapshotPaths("d", snapTestConfig(40_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == p || !strings.Contains(a, "abort-") || !strings.Contains(p, "prewarm-") {
-		t.Fatalf("suspicious snapshot paths: %q %q", a, p)
 	}
 }

@@ -665,7 +665,8 @@ func (s *Service) submitSweep(id string, cfgs []sim.Config) (SweepView, error) {
 }
 
 // Resume re-enqueues a failed, deadline- or budget-truncated job for
-// another attempt. When the runner has a snapshot dir, the truncated
+// another attempt. When the runner has a snapshot dir (which keeps it
+// to single runs, the only kind that park checkpoints), the truncated
 // attempt parked an abort checkpoint, so the new attempt continues
 // where it stopped instead of restarting — each resume makes the same
 // bounded forward progress until the job completes, identical to an

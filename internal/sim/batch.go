@@ -210,7 +210,7 @@ type Batch struct {
 // honor (snapshots are per-run state, so Resume/Snapshot* are
 // rejected) or a fault-injection failure at fault.SiteSimRun.
 func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) {
-	if opts.Resume != "" || opts.SnapshotPath != "" || opts.SnapshotPrewarm != "" || opts.SnapshotOnAbort != "" {
+	if opts.Resume != "" || opts.SnapshotPath != "" || opts.SnapshotOnAbort != "" {
 		return nil, fmt.Errorf("%w: snapshot options are per-run state and cannot apply to batch lanes (use RunContext or BatchSize 1)", ErrInvalidConfig)
 	}
 	rctx, cancel := context.WithCancel(ctx)
@@ -395,7 +395,6 @@ func (b *Batch) prewarmStream(st *bstream) {
 	// fanning memory references to each group leader and branch
 	// outcomes to every lane's own predictor — predictor state depends
 	// on the CPU config, so it is never shared.
-	train := cfg.PrewarmMode != PrewarmStream
 	leaders := make([]*lane, 0, len(order))
 	for _, k := range order {
 		leaders = append(leaders, groups[k][0])
@@ -418,13 +417,11 @@ func (b *Batch) prewarmStream(st *bstream) {
 				sys.WarmTouch(a)
 			}
 		}
-		if train {
-			for _, k := range order {
-				for _, ln := range groups[k] {
-					pred := ln.m.core.Predictor()
-					for _, br := range branches[:nb] {
-						pred.Warm(br>>1, br&1 == 1)
-					}
+		for _, k := range order {
+			for _, ln := range groups[k] {
+				pred := ln.m.core.Predictor()
+				for _, br := range branches[:nb] {
+					pred.Warm(br>>1, br&1 == 1)
 				}
 			}
 		}

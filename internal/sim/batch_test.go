@@ -116,30 +116,6 @@ func TestBatchBitIdentityTimingPrewarm(t *testing.T) {
 	}
 }
 
-// TestBatchBitIdentityStreamPrewarm covers PrewarmStream, where the
-// predictor stays cold through the replay.
-func TestBatchBitIdentityStreamPrewarm(t *testing.T) {
-	opts := RunOpts{Hash: true}
-	ctx := context.Background()
-	var cfgs []Config
-	for _, org := range batchOrgs() {
-		cfg := batchTestConfig("tomcatv", org)
-		cfg.PrewarmMode = PrewarmStream
-		cfgs = append(cfgs, cfg)
-	}
-	results, errs := RunBatch(ctx, cfgs, opts)
-	for i, cfg := range cfgs {
-		single, err := RunContext(ctx, cfg, opts)
-		if err != nil {
-			t.Fatalf("lane %d single: %v", i, err)
-		}
-		if errs[i] != nil {
-			t.Fatalf("lane %d batch: %v", i, errs[i])
-		}
-		requireIdentical(t, "stream", single, results[i])
-	}
-}
-
 // TestBatchHeterogeneousBudgetAbort runs a mixed batch in which one
 // lane's measured window is far too long for the shared cycle budget:
 // that lane must fail with ErrBudget while every other lane completes
@@ -182,7 +158,6 @@ func TestBatchSnapshotOptsRejected(t *testing.T) {
 	for _, opts := range []RunOpts{
 		{SnapshotPath: t.TempDir() + "/s.snap", SnapshotAt: 1},
 		{Resume: t.TempDir() + "/missing.snap"},
-		{SnapshotPrewarm: t.TempDir() + "/p.snap"},
 		{SnapshotOnAbort: t.TempDir() + "/a.snap"},
 	} {
 		if _, err := NewBatch(ctx, cfgs, opts); !errors.Is(err, ErrInvalidConfig) {

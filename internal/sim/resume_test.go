@@ -160,33 +160,6 @@ func TestAbortResumeChain(t *testing.T) {
 	}
 }
 
-// TestPrewarmSnapshotShared pins the sweep-sharing contract: a
-// prewarm-boundary snapshot written by one config is resumable by any
-// config agreeing on PrewarmProjection — here one with a different
-// measure window — and the resumed run is bit-identical to that
-// config's own cold run.
-func TestPrewarmSnapshotShared(t *testing.T) {
-	producer := resumeConfig("li", mem.PortConfig{Kind: mem.DuplicatePorts}, false)
-	snap := filepath.Join(t.TempDir(), "prewarm.json")
-	if _, err := RunContext(context.Background(), producer, RunOpts{SnapshotPrewarm: snap}); err != nil {
-		t.Fatal(err)
-	}
-
-	consumer := producer
-	consumer.MeasureInsts = 25_000 // differs from producer; same prewarm projection
-	cold, err := RunContext(context.Background(), consumer, RunOpts{Hash: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := RunContext(context.Background(), consumer, RunOpts{Hash: true, Resume: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, resumed) {
-		t.Fatalf("prewarm-shared resume diverged from cold run:\ncold:    %+v\nresumed: %+v", cold, resumed)
-	}
-}
-
 // TestResumeRejectsWrongConfig: a snapshot from one config must not
 // silently seed a run of another.
 func TestResumeRejectsWrongConfig(t *testing.T) {

@@ -98,7 +98,7 @@ func (m *machine) runSampled() (Result, error) {
 			return Result{}, err
 		}
 	} else {
-		if err := m.fastForward(m.cfg.PrewarmInsts, m.cfg.PrewarmMode != PrewarmStream); err != nil {
+		if err := m.fastForward(m.cfg.PrewarmInsts); err != nil {
 			return Result{}, err
 		}
 	}
@@ -141,7 +141,7 @@ func (m *machine) runSampled() (Result, error) {
 			tail = slack - lead
 		}
 		if lead > 0 {
-			if err := m.fastForward(lead, true); err != nil {
+			if err := m.fastForward(lead); err != nil {
 				return Result{}, err
 			}
 		}
@@ -180,7 +180,7 @@ func (m *machine) runSampled() (Result, error) {
 			windows = append(windows, w)
 		}
 		if tail > 0 {
-			if err := m.fastForward(tail, true); err != nil {
+			if err := m.fastForward(tail); err != nil {
 				return Result{}, err
 			}
 		}

@@ -106,10 +106,6 @@ const (
 	// steady-state caches and a trained predictor at a small fraction of
 	// the cost of timed prewarm.
 	PrewarmFastForward PrewarmMode = "fast-forward"
-	// PrewarmStream warms only the cache hierarchy, leaving the
-	// predictor cold — the behavior all results predating the knob were
-	// produced with, kept bit-identical for reproducibility.
-	PrewarmStream PrewarmMode = "stream"
 	// PrewarmTiming runs the full timing model through the prewarm
 	// window. Highest fidelity and by far the slowest; the reference the
 	// fast-forward tolerance is tested against.
@@ -118,7 +114,7 @@ const (
 
 func (m PrewarmMode) valid() bool {
 	switch m {
-	case "", PrewarmFastForward, PrewarmStream, PrewarmTiming:
+	case "", PrewarmFastForward, PrewarmTiming:
 		return true
 	}
 	return false
@@ -206,8 +202,8 @@ func (c Config) Validate() error {
 			ErrInvalidConfig, c.PrewarmInsts, c.WarmupInsts, c.MeasureInsts)
 	}
 	if !c.PrewarmMode.valid() {
-		return fmt.Errorf("%w: unknown prewarm mode %q (want %q, %q or %q)",
-			ErrInvalidConfig, c.PrewarmMode, PrewarmFastForward, PrewarmStream, PrewarmTiming)
+		return fmt.Errorf("%w: unknown prewarm mode %q (want %q or %q)",
+			ErrInvalidConfig, c.PrewarmMode, PrewarmFastForward, PrewarmTiming)
 	}
 	if err := c.Sample.validate(c.MeasureInsts); err != nil {
 		return err
@@ -254,10 +250,9 @@ type RunOpts struct {
 
 	// Resume restores machine state from the snapshot at this path and
 	// continues the run from there instead of starting cold. The
-	// snapshot must have been recorded for a compatible config: an
-	// identical resolved config, or — for a prewarm-boundary snapshot —
-	// one agreeing on PrewarmProjection. An unusable snapshot fails
-	// with ErrSnapshot (corrupt files are quarantined to *.corrupt).
+	// snapshot must have been recorded for the identical resolved
+	// config. An unusable snapshot fails with ErrSnapshot (corrupt
+	// files are quarantined to *.corrupt).
 	Resume string
 	// SnapshotPath, with SnapshotAt, writes one checkpoint mid-run: at
 	// the first chunk boundary at or after cycle SnapshotAt (on the
@@ -265,11 +260,6 @@ type RunOpts struct {
 	// it reproduces the straight-through run bit-identically.
 	SnapshotPath string
 	SnapshotAt   uint64
-	// SnapshotPrewarm writes a checkpoint at the end-of-prewarm
-	// boundary of a fresh run. Any config with the same
-	// PrewarmProjection can resume it, which is how neighboring sweep
-	// points share one prewarm.
-	SnapshotPrewarm string
 	// SnapshotOnAbort writes a checkpoint when the run stops on a
 	// budget or cancellation during a timed phase, so the next attempt
 	// resumes instead of restarting. Never written on ErrCheckFailed (a
@@ -451,9 +441,8 @@ func (m *machine) runTimedChunk() (bool, error) {
 	if err := m.checkErr(); err != nil {
 		return false, err
 	}
-	// Phase-final boundaries (remaining == 0) are excluded: a
-	// remaining-0 warmup snapshot is reserved for the prewarm
-	// boundary, whose resume semantics differ (see restore).
+	// Phase-final boundaries (remaining == 0) are excluded: restore
+	// rejects a timed-phase snapshot with nothing left to run.
 	if m.remaining > 0 && m.wantSnapshotAt() {
 		if err := m.saveSnapshot(m.opts.SnapshotPath, m.phase, m.remaining); err != nil {
 			return false, err
@@ -483,10 +472,10 @@ func (m *machine) sweep() error {
 }
 
 // fastForward drains insts instructions from the generator functionally
-// — warming the hierarchy with every memory reference and, when train
-// is set, the predictor with every branch outcome — without running the
-// pipeline. Chunked so the generator's batch loop stays call-free.
-func (m *machine) fastForward(insts uint64, train bool) error {
+// — warming the hierarchy with every memory reference and the
+// predictor with every branch outcome — without running the pipeline.
+// Chunked so the generator's batch loop stays call-free.
+func (m *machine) fastForward(insts uint64) error {
 	pred := m.core.Predictor()
 	var addrs, branches [4096]uint64
 	for left := insts; left > 0; {
@@ -502,10 +491,8 @@ func (m *machine) fastForward(insts uint64, train bool) error {
 		for _, a := range addrs[:na] {
 			m.sys.WarmTouch(a)
 		}
-		if train {
-			for _, b := range branches[:nb] {
-				pred.Warm(b>>1, b&1 == 1)
-			}
+		for _, b := range branches[:nb] {
+			pred.Warm(b>>1, b&1 == 1)
 		}
 	}
 	return nil
@@ -570,19 +557,11 @@ func (m *machine) run(resumed bool) (Result, error) {
 				return Result{}, err
 			}
 		} else {
-			if err := m.fastForward(m.cfg.PrewarmInsts, m.cfg.PrewarmMode != PrewarmStream); err != nil {
+			if err := m.fastForward(m.cfg.PrewarmInsts); err != nil {
 				return Result{}, err
 			}
 		}
 		m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
-		if m.opts.SnapshotPrewarm != "" {
-			// Remaining 0 marks the prewarm boundary: a resumer runs its
-			// own full warmup, so any config sharing the prewarm
-			// projection can pick this snapshot up.
-			if err := m.saveSnapshot(m.opts.SnapshotPrewarm, phaseWarmup, 0); err != nil {
-				return Result{}, err
-			}
-		}
 	}
 
 	if m.phase == phasePrewarm {
@@ -592,18 +571,12 @@ func (m *machine) run(resumed bool) (Result, error) {
 		m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
 	}
 	if m.phase == phaseWarmup {
-		if m.remaining == 0 {
-			m.remaining = m.cfg.WarmupInsts
-		}
 		if err := m.runTimed(); err != nil {
 			return Result{}, err
 		}
 		m.captureBaselines()
 		m.core.ResetStats()
 		m.phase, m.remaining = phaseMeasure, m.cfg.MeasureInsts
-	}
-	if m.remaining == 0 {
-		m.remaining = m.cfg.MeasureInsts
 	}
 	if err := m.runTimed(); err != nil {
 		return Result{}, err

@@ -28,9 +28,8 @@ type MachineState struct {
 	Config Config `json:"config"`
 
 	// Phase and Remaining locate the run: Remaining instructions left in
-	// Phase. The special pair ("warmup", 0) marks the end-of-prewarm
-	// boundary — the resumer runs its own full warmup, so any config
-	// sharing PrewarmProjection can resume it.
+	// Phase, always positive (restore rejects a snapshot with nothing
+	// left to run in its phase).
 	Phase     string `json:"phase"`
 	Remaining uint64 `json:"remaining"`
 
@@ -48,20 +47,6 @@ type MachineState struct {
 	// Stream is present when the producing run hashed its retired
 	// stream (RunOpts.Hash). A resume without it starts a fresh hash.
 	Stream *check.StreamState `json:"stream,omitempty"`
-}
-
-// PrewarmProjection reduces a config to the part that determines
-// machine state at the end-of-prewarm boundary: the benchmark, the
-// seed, the machine geometry, and the prewarm window itself. Configs
-// that agree on it can share one prewarm snapshot (and one
-// content-addressed prewarm cache entry) no matter how their measure
-// windows or sampling plans differ.
-func PrewarmProjection(cfg Config) Config {
-	cfg = cfg.WithDefaults()
-	cfg.WarmupInsts = 0
-	cfg.MeasureInsts = 0
-	cfg.Sample = nil
-	return cfg
 }
 
 // WriteSnapshot seals st into a checksummed snapshot file at path
@@ -120,25 +105,17 @@ func canonicalJSON(cfg Config) ([]byte, error) {
 }
 
 // restore imports a snapshot into the machine. The snapshot must match
-// the machine's resolved config exactly — except a prewarm-boundary
-// snapshot, which only has to agree on PrewarmProjection, since warmup
-// and measure haven't touched state yet at that point. On success the
-// machine's phase cursor, baselines, and rebased cycle budget are in
-// place; on error the machine is unusable and the caller discards it.
+// the machine's resolved config exactly and stop inside a timed phase
+// with instructions left to run; older builds' end-of-prewarm files
+// (phase warmup, nothing remaining) fail here. On success the machine's
+// phase cursor, baselines, and rebased cycle budget are in place; on
+// error the machine is unusable and the caller discards it.
 func (m *machine) restore(st *MachineState) error {
-	var mine, theirs []byte
-	var err error
-	if st.Phase == phaseWarmup && st.Remaining == 0 {
-		mine, err = canonicalJSON(PrewarmProjection(m.cfg))
-		if err == nil {
-			theirs, err = canonicalJSON(PrewarmProjection(st.Config))
-		}
-	} else {
-		mine, err = canonicalJSON(m.cfg)
-		if err == nil {
-			theirs, err = canonicalJSON(st.Config.WithDefaults())
-		}
+	mine, err := canonicalJSON(m.cfg)
+	if err != nil {
+		return err
 	}
+	theirs, err := canonicalJSON(st.Config.WithDefaults())
 	if err != nil {
 		return err
 	}
@@ -149,6 +126,9 @@ func (m *machine) restore(st *MachineState) error {
 	case phasePrewarm, phaseWarmup, phaseMeasure:
 	default:
 		return fmt.Errorf("snapshot phase %q unknown", st.Phase)
+	}
+	if st.Remaining == 0 {
+		return fmt.Errorf("snapshot has no instructions remaining in phase %q", st.Phase)
 	}
 	if err := m.gen.ImportState(st.Gen); err != nil {
 		return err

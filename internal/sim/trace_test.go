@@ -69,12 +69,11 @@ func TestTraceReplayBitIdentical(t *testing.T) {
 }
 
 // TestTraceReplayAcrossPrewarmModes pins replay identity through every
-// prewarm path: functional fast-forward, cache-only stream warm, and
-// full timing prewarm all consume the recorded stream exactly as they
-// consume the live one.
+// prewarm path: functional fast-forward and full timing prewarm both
+// consume the recorded stream exactly as they consume the live one.
 func TestTraceReplayAcrossPrewarmModes(t *testing.T) {
 	dir := t.TempDir()
-	for _, mode := range []PrewarmMode{PrewarmFastForward, PrewarmStream, PrewarmTiming} {
+	for _, mode := range []PrewarmMode{PrewarmFastForward, PrewarmTiming} {
 		t.Run(string(mode), func(t *testing.T) {
 			cfg := resumeConfig("gcc", mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false)
 			cfg.PrewarmMode = mode

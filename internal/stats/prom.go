@@ -10,8 +10,7 @@ import (
 // LatencyHistogram accumulates float64 samples (typically seconds) into
 // fixed buckets chosen at construction, Prometheus-style: bucket i
 // counts samples ≤ bounds[i], plus one overflow bucket above the last
-// bound. It keeps exact count, sum, and extrema, so mean is exact and
-// quantiles are bucket-interpolated estimates.
+// bound. It keeps exact count and sum, so the mean is exact.
 //
 // Like the rest of this package it is not synchronized; callers that
 // observe from multiple goroutines hold their own lock.
@@ -20,8 +19,6 @@ type LatencyHistogram struct {
 	counts []uint64  // len(bounds)+1; last is the overflow bucket
 	count  uint64
 	sum    float64
-	min    float64
-	max    float64
 }
 
 // DefaultLatencyBuckets spans sub-millisecond cache hits to multi-second
@@ -44,12 +41,6 @@ func NewLatencyHistogram(bounds ...float64) *LatencyHistogram {
 
 // Observe records one sample.
 func (h *LatencyHistogram) Observe(v float64) {
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
 	h.count++
 	h.sum += v
 	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v
@@ -68,56 +59,6 @@ func (h *LatencyHistogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Max returns the largest observed sample, or 0 with no samples.
-func (h *LatencyHistogram) Max() float64 { return h.max }
-
-// Quantile estimates the q-quantile (q in [0,1]) by linear
-// interpolation within the bucket holding the target rank, clamped to
-// the observed extrema. With no samples it returns 0.
-func (h *LatencyHistogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		lo := h.min
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.max
-		if i < len(h.bounds) && h.bounds[i] < hi {
-			hi = h.bounds[i]
-		}
-		if lo < h.min {
-			lo = h.min
-		}
-		if hi < lo {
-			hi = lo
-		}
-		frac := (rank - prev) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		return lo + (hi-lo)*frac
-	}
-	return h.max
 }
 
 // Prom accumulates metrics in the Prometheus text exposition format

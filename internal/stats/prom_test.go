@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -16,56 +15,6 @@ func TestLatencyHistogramEmpty(t *testing.T) {
 	}
 	if got := h.Mean(); got != 0 {
 		t.Errorf("Mean() = %g, want 0", got)
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%g) = %g, want 0", q, got)
-		}
-	}
-}
-
-func TestLatencyHistogramQuantiles(t *testing.T) {
-	h := NewLatencyHistogram(1, 2, 4, 8)
-	for _, v := range []float64{0.5, 1.5, 1.5, 3, 3, 3, 5, 7, 20, 20} {
-		h.Observe(v)
-	}
-	if got := h.Count(); got != 10 {
-		t.Fatalf("Count() = %d, want 10", got)
-	}
-	if got, want := h.Sum(), 64.5; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Sum() = %g, want %g", got, want)
-	}
-	// The median rank (5 of 10) lands in the (2,4] bucket.
-	if q := h.Quantile(0.5); q <= 2 || q > 4 {
-		t.Errorf("Quantile(0.5) = %g, want in (2,4]", q)
-	}
-	// Out-of-range q clamps instead of panicking.
-	if q := h.Quantile(-1); q < 0.5 || q > 1 {
-		t.Errorf("Quantile(-1) = %g, want clamped near min", q)
-	}
-	// The top quantile lives in the overflow bucket, bounded by the
-	// observed maximum rather than +Inf.
-	if q := h.Quantile(1); q > h.Max() || q <= 8 {
-		t.Errorf("Quantile(1) = %g, want in (8, %g]", q, h.Max())
-	}
-	// Quantiles are monotone in q.
-	prev := -1.0
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Errorf("Quantile(%g) = %g < previous %g; quantiles must be monotone", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestLatencyHistogramSingleSample(t *testing.T) {
-	h := NewLatencyHistogram(1, 10)
-	h.Observe(3)
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); got < 1 || got > 10 {
-			t.Errorf("Quantile(%g) = %g, want within the sample's bucket (1,10]", q, got)
-		}
 	}
 }
 
@@ -141,31 +90,5 @@ func TestPromVecGolden(t *testing.T) {
 	}, "\n")
 	if got := p.String(); got != want {
 		t.Errorf("Vec rendering mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
-func TestHistogramEmptyBuckets(t *testing.T) {
-	// The integer Histogram used by the simulator: empty and
-	// out-of-range behavior.
-	h := NewHistogram(4)
-	if got := h.Total(); got != 0 {
-		t.Errorf("empty Total() = %d, want 0", got)
-	}
-	if got := h.Mean(); got != 0 {
-		t.Errorf("empty Mean() = %g, want 0", got)
-	}
-	if got := h.Bucket(-1); got != 0 {
-		t.Errorf("Bucket(-1) = %d, want 0", got)
-	}
-	if got := h.Bucket(99); got != 0 {
-		t.Errorf("Bucket(99) = %d, want 0", got)
-	}
-	h.Add(-5) // clamps to bucket 0
-	h.Add(99) // saturates into the top bucket
-	if got := h.Bucket(0); got != 1 {
-		t.Errorf("Bucket(0) = %d, want 1 after negative clamp", got)
-	}
-	if got := h.Bucket(4); got != 1 {
-		t.Errorf("Bucket(4) = %d, want 1 after saturation", got)
 	}
 }

@@ -1,11 +1,10 @@
-// Package stats provides the light-weight counters, distributions, and
-// table formatting shared by the simulator and the experiment harness.
+// Package stats provides the light-weight counters, means, and table
+// formatting shared by the simulator and the experiment harness.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -32,111 +31,6 @@ func Ratio(c, d uint64) float64 {
 		return 0
 	}
 	return float64(c) / float64(d)
-}
-
-// Distribution accumulates samples and reports summary statistics. It
-// stores only moments and extrema, so it is O(1) per sample.
-type Distribution struct {
-	n          uint64
-	sum, sumSq float64
-	min, max   float64
-}
-
-// Add records one sample.
-func (d *Distribution) Add(x float64) {
-	if d.n == 0 || x < d.min {
-		d.min = x
-	}
-	if d.n == 0 || x > d.max {
-		d.max = x
-	}
-	d.n++
-	d.sum += x
-	d.sumSq += x * x
-}
-
-// N returns the sample count.
-func (d *Distribution) N() uint64 { return d.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (d *Distribution) Mean() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return d.sum / float64(d.n)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (d *Distribution) Min() float64 { return d.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (d *Distribution) Max() float64 { return d.max }
-
-// StdDev returns the population standard deviation, or 0 with fewer than
-// two samples.
-func (d *Distribution) StdDev() float64 {
-	if d.n < 2 {
-		return 0
-	}
-	m := d.Mean()
-	v := d.sumSq/float64(d.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Histogram counts samples in integer buckets (e.g. instructions retired
-// per cycle, MSHR occupancy). Values beyond the top bucket saturate into
-// it.
-type Histogram struct {
-	buckets []uint64
-}
-
-// NewHistogram returns a histogram with buckets for values 0..max.
-func NewHistogram(max int) *Histogram {
-	return &Histogram{buckets: make([]uint64, max+1)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.buckets) {
-		v = len(h.buckets) - 1
-	}
-	h.buckets[v]++
-}
-
-// Bucket returns the count of samples with value v.
-func (h *Histogram) Bucket(v int) uint64 {
-	if v < 0 || v >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[v]
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() uint64 {
-	var t uint64
-	for _, b := range h.buckets {
-		t += b
-	}
-	return t
-}
-
-// Mean returns the weighted mean bucket value.
-func (h *Histogram) Mean() float64 {
-	var t, s uint64
-	for v, b := range h.buckets {
-		t += b
-		s += uint64(v) * b
-	}
-	if t == 0 {
-		return 0
-	}
-	return float64(s) / float64(t)
 }
 
 // GeoMean returns the geometric mean of xs, ignoring non-positive values.
@@ -184,26 +78,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.header))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row of formatted cells, one format per cell value.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, fmt.Sprintf("%.3f", v))
-		case int:
-			row = append(row, fmt.Sprintf("%d", v))
-		case uint64:
-			row = append(row, fmt.Sprintf("%d", v))
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	t.AddRow(row...)
 }
 
 // NumRows returns the number of data rows.
@@ -267,15 +141,4 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of m in sorted order; handy for
-// deterministic report output.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

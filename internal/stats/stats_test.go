@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounter(t *testing.T) {
@@ -32,54 +31,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestDistribution(t *testing.T) {
-	var d Distribution
-	if d.Mean() != 0 || d.StdDev() != 0 {
-		t.Error("empty distribution must report zeros")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		d.Add(x)
-	}
-	if d.N() != 8 {
-		t.Errorf("N = %d, want 8", d.N())
-	}
-	if d.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", d.Mean())
-	}
-	if math.Abs(d.StdDev()-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", d.StdDev())
-	}
-	if d.Min() != 2 || d.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", d.Min(), d.Max())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(4)
-	for _, v := range []int{0, 1, 1, 4, 9, -3} {
-		h.Add(v)
-	}
-	if h.Bucket(0) != 2 { // 0 and -3 both land in bucket 0
-		t.Errorf("bucket 0 = %d, want 2", h.Bucket(0))
-	}
-	if h.Bucket(1) != 2 {
-		t.Errorf("bucket 1 = %d, want 2", h.Bucket(1))
-	}
-	if h.Bucket(4) != 2 { // 4 and the saturated 9
-		t.Errorf("bucket 4 = %d, want 2", h.Bucket(4))
-	}
-	if h.Bucket(7) != 0 || h.Bucket(-1) != 0 {
-		t.Error("out-of-range buckets must read 0")
-	}
-	if h.Total() != 6 {
-		t.Errorf("total = %d, want 6", h.Total())
-	}
-	want := float64(0*2+1*2+4*2) / 6
-	if math.Abs(h.Mean()-want) > 1e-12 {
-		t.Errorf("mean = %v, want %v", h.Mean(), want)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if GeoMean(nil) != 0 {
 		t.Error("empty GeoMean must be 0")
@@ -104,7 +55,7 @@ func TestMean(t *testing.T) {
 
 func TestTableString(t *testing.T) {
 	tb := NewTable("bench", "ipc")
-	tb.AddRowf("gcc", 1.234567)
+	tb.AddRow("gcc", "1.235")
 	tb.AddRow("tomcatv") // short row pads
 	out := tb.String()
 	if !strings.Contains(out, "bench") || !strings.Contains(out, "1.235") {
@@ -128,56 +79,5 @@ func TestTableCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(csv, "a,b\n") {
 		t.Errorf("CSV header broken: %q", csv)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]float64{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedKeys = %v, want %v", got, want)
-		}
-	}
-}
-
-// Property: distribution mean always lies within [min, max].
-func TestDistributionMeanBoundsProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		var d Distribution
-		any := false
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			// Bound the magnitude so sumSq cannot overflow; simulator
-			// statistics are cycle counts and rates, far below this.
-			x = math.Mod(x, 1e9)
-			d.Add(x)
-			any = true
-		}
-		if !any {
-			return true
-		}
-		m := d.Mean()
-		return m >= d.Min()-1e-6 && m <= d.Max()+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: histogram total equals the number of Add calls.
-func TestHistogramTotalProperty(t *testing.T) {
-	f := func(vs []int8) bool {
-		h := NewHistogram(10)
-		for _, v := range vs {
-			h.Add(int(v))
-		}
-		return h.Total() == uint64(len(vs))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
