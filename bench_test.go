@@ -229,6 +229,46 @@ func BenchmarkFullSimulation(b *testing.B) {
 	}
 }
 
+// BenchmarkDefaultSimulation times sim.Run at the default windows
+// (800k prewarm, 30k warmup, 300k measure): the unit of work one
+// service job answers. One op is `streams` runs in flight at once.
+// streams=1 is single-run latency, the case of a closed-loop client,
+// where the run's stream read-ahead can use a second CPU; streams=2 is
+// saturated throughput on a two-CPU host, where no CPU is spare.
+func BenchmarkDefaultSimulation(b *testing.B) {
+	cfg := sim.Config{
+		Benchmark: "gcc",
+		Seed:      1,
+		CPU:       cpu.DefaultConfig(),
+		Memory:    mem.DefaultSRAMSystem(32<<10, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, true),
+	}
+	for _, streams := range []int{1, 2} {
+		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
+			b.ReportAllocs()
+			errs := make([]error, streams)
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for s := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, errs[s] = sim.Run(cfg)
+					}()
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if s := b.Elapsed().Seconds(); s > 0 {
+				b.ReportMetric(float64(streams*b.N)/s, "runs/s")
+			}
+		})
+	}
+}
+
 // batchSweepConfigs is the BenchmarkBatchSweep design space: four L1
 // sizes crossed with four of the paper's headline organizations (ideal
 // dual-ported, eight-way banked, duplicate arrays + line buffer, and

@@ -159,8 +159,8 @@ func batchMetrics(samples []sample) (cps, speedup float64) {
 	return cps, speedup
 }
 
-// compareBaseline prints one line per headline metric comparing rep
-// against an earlier report on stderr. A metric absent on either side —
+// compareBaseline prints one line per benchmark's ns/op and one per
+// headline metric comparing rep against an earlier report on stderr. A metric absent on either side —
 // baselines written before PR 8 predate configs_per_sec_core entirely,
 // and partial -bench patterns can skip the batch sweep — is skipped
 // with a one-line notice naming the missing side, and is never an
@@ -197,6 +197,10 @@ func compareBaseline(rep report, path string, maxRegress float64) error {
 		return nil
 	}
 
+	for _, line := range nsPerOpDeltas(rep, base) {
+		fmt.Fprintf(os.Stderr, "benchjson: %s at %s\n", line, from)
+	}
+
 	// compare reports one metric's delta, or skips it with the reason.
 	// Metrics neither side reports stay silent — three "skipped" lines
 	// for a run that never had the batch sweep is noise, not signal.
@@ -221,6 +225,47 @@ func compareBaseline(rep report, path string, maxRegress float64) error {
 		return fmt.Errorf("configs_per_sec_core regressed %.1f%% (limit %.1f%%) vs %s", -delta, maxRegress, from)
 	}
 	return nil
+}
+
+// nsPerOpDeltas renders, for every benchmark both reports ran, its
+// mean ns/op in rep against the baseline's, in rep's order. The lines
+// are informational: no ns/op change fails a run.
+func nsPerOpDeltas(rep, base report) []string {
+	cur, order := meanNsPerOp(rep.Benchmarks)
+	old, _ := meanNsPerOp(base.Benchmarks)
+	var lines []string
+	for _, name := range order {
+		o, ok := old[name]
+		if !ok || o == 0 {
+			continue
+		}
+		c := cur[name]
+		lines = append(lines, fmt.Sprintf("%s %.0f ns/op vs %.0f (%+.1f%%)", name, c, o, 100*(c-o)/o))
+	}
+	return lines
+}
+
+// meanNsPerOp averages each benchmark's ns/op over its samples, and
+// lists the names in order of first appearance.
+func meanNsPerOp(samples []sample) (map[string]float64, []string) {
+	sums := make(map[string]float64)
+	counts := make(map[string]int)
+	var order []string
+	for _, s := range samples {
+		v, ok := s.Metrics["ns/op"]
+		if !ok {
+			continue
+		}
+		if counts[s.Name] == 0 {
+			order = append(order, s.Name)
+		}
+		sums[s.Name] += v
+		counts[s.Name]++
+	}
+	for name, c := range counts {
+		sums[name] /= float64(c)
+	}
+	return sums, order
 }
 
 // fingerprint renders everything that identifies the report's host.

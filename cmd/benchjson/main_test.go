@@ -207,3 +207,39 @@ func TestParseLineKeepsNonNumericSuffix(t *testing.T) {
 		t.Errorf("name %q, want BenchmarkFoo/sub-case", s.Name)
 	}
 }
+
+// TestNsPerOpDeltas: every benchmark both reports ran gets one line
+// with its mean ns/op over the -count samples, the baseline's mean and
+// the change, in the new report's order; benchmarks on one side only
+// are left out.
+func TestNsPerOpDeltas(t *testing.T) {
+	ns := func(name string, v float64) sample {
+		return sample{Name: name, Iterations: 1, Metrics: map[string]float64{"ns/op": v}}
+	}
+	rep := report{Benchmarks: []sample{
+		ns("BenchmarkDefaultSimulation/streams=1", 100),
+		ns("BenchmarkFullSimulation", 30),
+		ns("BenchmarkDefaultSimulation/streams=1", 80),
+		ns("BenchmarkNew", 5),
+	}}
+	base := report{Benchmarks: []sample{
+		ns("BenchmarkFullSimulation", 30),
+		ns("BenchmarkDefaultSimulation/streams=1", 120),
+		ns("BenchmarkGone", 7),
+	}}
+	got := nsPerOpDeltas(rep, base)
+	want := []string{
+		"BenchmarkDefaultSimulation/streams=1 90 ns/op vs 120 (-25.0%)",
+		"BenchmarkFullSimulation 30 ns/op vs 30 (+0.0%)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("deltas:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	// The lines are report-only: a large ns/op regression never fails
+	// the comparison, even with the configs_per_sec_core gate armed.
+	slow := report{Benchmarks: []sample{ns("BenchmarkFullSimulation", 300)}, ConfigsPerSecCore: 20}
+	path := writeBaseline(t, report{Benchmarks: []sample{ns("BenchmarkFullSimulation", 30)}, ConfigsPerSecCore: 20})
+	if err := compareBaseline(slow, path, 10); err != nil {
+		t.Fatalf("ns/op regression failed the comparison: %v", err)
+	}
+}

@@ -127,6 +127,11 @@ func (v *Invariants) EndCycle(now mem.Cycle) {
 	}
 }
 
+// Resume continues the retirement-order check on a core restored from
+// a checkpoint: headSeq is the restored window's oldest sequence
+// number, so the next retirement must carry it.
+func (v *Invariants) Resume(headSeq uint64) { v.lastSeq = headSeq - 1 }
+
 // Err returns the first violation observed, if any.
 func (v *Invariants) Err() error { return v.err }
 

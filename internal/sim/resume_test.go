@@ -160,6 +160,28 @@ func TestAbortResumeChain(t *testing.T) {
 	}
 }
 
+// TestResumeUnderCheck: a checkpoint resumes under the invariant
+// checker, which picks up retirement order at the restored window's
+// head instead of expecting sequence number 1 again.
+func TestResumeUnderCheck(t *testing.T) {
+	cfg := resumeConfig("gcc", mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false)
+	straight, err := RunContext(context.Background(), cfg, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "abort.json")
+	if _, err := RunContext(context.Background(), cfg, RunOpts{MaxCycles: 20_000, SnapshotOnAbort: snap}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	resumed, err := RunContext(context.Background(), cfg, RunOpts{Check: true, Resume: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(straight, resumed) {
+		t.Fatalf("checked resume diverged:\nstraight: %+v\nresumed:  %+v", straight, resumed)
+	}
+}
+
 // TestResumeRejectsWrongConfig: a snapshot from one config must not
 // silently seed a run of another.
 func TestResumeRejectsWrongConfig(t *testing.T) {

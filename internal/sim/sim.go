@@ -296,6 +296,7 @@ type machine struct {
 	ctx  context.Context // caller context, for abort classification
 
 	gen    workload.Source
+	ra     *readAhead // the stream as a single run reads it; nil in batch lanes
 	sys    *mem.System
 	core   *cpu.CPU
 	stream *check.Stream
@@ -323,15 +324,21 @@ func newMachine(ctx context.Context, cfg Config, opts RunOpts, stop *atomic.Bool
 	if err != nil {
 		return nil, err
 	}
+	if testSourceHook != nil {
+		gen = testSourceHook(gen)
+	}
 	sys, err := mem.NewSystem(cfg.Memory)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	core, err := cpu.New(cfg.CPU, gen, sys.L1)
+	ra := newReadAhead(gen, cfg.newSource)
+	core, err := cpu.New(cfg.CPU, ra, sys.L1)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	return assembleMachine(ctx, cfg, opts, stop, gen, sys, core), nil
+	m := assembleMachine(ctx, cfg, opts, stop, gen, sys, core)
+	m.ra = ra
+	return m, nil
 }
 
 // assembleMachine wires an already-constructed stream source,
@@ -471,27 +478,23 @@ func (m *machine) sweep() error {
 	return nil
 }
 
-// fastForward drains insts instructions from the generator functionally
-// — warming the hierarchy with every memory reference and the
-// predictor with every branch outcome — without running the pipeline.
-// Chunked so the generator's batch loop stays call-free.
+// fastForward drains insts instructions from the stream functionally —
+// warming the hierarchy with every memory reference and the predictor
+// with every branch outcome — without running the pipeline. It starts
+// at the core's fetch position: records already read ahead for the
+// core are drained first, the rest arrives from the producer's Warm.
 func (m *machine) fastForward(insts uint64) error {
 	pred := m.core.Predictor()
-	var addrs, branches [4096]uint64
 	for left := insts; left > 0; {
 		if m.stop.Load() {
 			return m.abortErr()
 		}
-		chunk := len(addrs)
-		if uint64(chunk) > left {
-			chunk = int(left)
-		}
-		left -= uint64(chunk)
-		na, nb := m.gen.Warm(chunk, addrs[:], branches[:])
-		for _, a := range addrs[:na] {
+		addrs, branches, n := m.ra.warm(left)
+		left -= n
+		for _, a := range addrs {
 			m.sys.WarmTouch(a)
 		}
-		for _, b := range branches[:nb] {
+		for _, b := range branches {
 			pred.Warm(b>>1, b&1 == 1)
 		}
 	}
@@ -621,6 +624,9 @@ func RunContext(ctx context.Context, cfg Config, opts RunOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// The read-ahead producer starts at the first read; it is reaped
+	// before RunContext returns, and a panic it raised surfaces here.
+	defer m.ra.close()
 
 	resumed := false
 	if opts.Resume != "" {

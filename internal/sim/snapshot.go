@@ -142,6 +142,9 @@ func (m *machine) restore(st *MachineState) error {
 	if m.stream != nil && st.Stream != nil {
 		m.stream.Restore(*st.Stream)
 	}
+	if m.inv != nil {
+		m.inv.Resume(st.CPU.HeadSeq)
+	}
 	m.phase = st.Phase
 	m.remaining = st.Remaining
 	m.preLoads = st.PreLoads
@@ -157,8 +160,14 @@ func (m *machine) restore(st *MachineState) error {
 	return nil
 }
 
-// exportState captures the machine at the given phase cursor.
-func (m *machine) exportState(phase string, remaining uint64) *MachineState {
+// exportState captures the machine at the given phase cursor. The
+// stream state is the one at the core's fetch position, however far
+// the read-ahead has run (batch lanes never checkpoint).
+func (m *machine) exportState(phase string, remaining uint64) (*MachineState, error) {
+	gen, err := m.ra.exportState()
+	if err != nil {
+		return nil, err
+	}
 	st := &MachineState{
 		Config:       m.cfg,
 		Phase:        phase,
@@ -169,15 +178,19 @@ func (m *machine) exportState(phase string, remaining uint64) *MachineState {
 		PreLB:        m.preLB,
 		CPU:          m.core.ExportState(),
 		Mem:          m.sys.ExportState(),
-		Gen:          m.gen.ExportState(),
+		Gen:          gen,
 	}
 	if m.stream != nil {
 		s := m.stream.State()
 		st.Stream = &s
 	}
-	return st
+	return st, nil
 }
 
 func (m *machine) saveSnapshot(path, phase string, remaining uint64) error {
-	return WriteSnapshot(path, m.exportState(phase, remaining), m.opts.Faults)
+	st, err := m.exportState(phase, remaining)
+	if err != nil {
+		return err
+	}
+	return WriteSnapshot(path, st, m.opts.Faults)
 }

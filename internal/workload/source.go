@@ -44,3 +44,34 @@ var (
 	_ Source = (*Generator)(nil)
 	_ Source = (*TraceReader)(nil)
 )
+
+// WarmRecords reports what Warm would for records already assembled:
+// every memory reference address in addrs[:na] and every branch
+// outcome in branches[:nb], packed pc<<1|taken. Both buffers must hold
+// at least len(insts) entries. Draining records a Source has filled
+// through WarmRecords warms a hierarchy and predictor exactly as
+// calling Warm for them would have.
+func WarmRecords(insts []isa.Inst, addrs, branches []uint64) (na, nb int) {
+	for i := range insts {
+		na, nb = warmRecord(&insts[i], addrs, branches, na, nb)
+	}
+	return na, nb
+}
+
+// warmRecord appends one record's functional footprint to the Warm
+// buffers.
+func warmRecord(inst *isa.Inst, addrs, branches []uint64, na, nb int) (int, int) {
+	switch {
+	case inst.Op.IsMem():
+		addrs[na] = inst.Addr
+		na++
+	case inst.Op == isa.Branch:
+		var taken uint64
+		if inst.Taken {
+			taken = 1
+		}
+		branches[nb] = inst.PC<<1 | taken
+		nb++
+	}
+	return na, nb
+}

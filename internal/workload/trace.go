@@ -458,18 +458,7 @@ func (r *TraceReader) Warm(n int, addrs, branches []uint64) (na, nb int) {
 		if !ok {
 			break
 		}
-		switch {
-		case inst.Op.IsMem():
-			addrs[na] = inst.Addr
-			na++
-		case inst.Op == isa.Branch:
-			var taken uint64
-			if inst.Taken {
-				taken = 1
-			}
-			branches[nb] = inst.PC<<1 | taken
-			nb++
-		}
+		na, nb = warmRecord(&inst, addrs, branches, na, nb)
 	}
 	return na, nb
 }
